@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "scenario/invariants.hpp"
+#include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
 #include "util/histogram.hpp"
 #include "util/types.hpp"
@@ -69,15 +71,71 @@ struct ScenarioResult {
 ///    datagrams) and a control socket.
 /// Both consume the same spec and evaluate the same InvariantRegistry, so a
 /// scenario written once runs under either harness.
+///
+/// A run has three stages, exposed so a driver owning several backends
+/// (shard::ShardedRunner) can interleave their scripts: run() is exactly
+/// bootstrap(), then every phase action through step(), then finish().
 class ScenarioBackend {
  public:
   virtual ~ScenarioBackend() = default;
 
   /// Runs every phase, then evaluates the invariant registry. Call once.
-  virtual ScenarioResult run() = 0;
+  ScenarioResult run();
 
-  virtual TraceRecorder& trace() = 0;
-  virtual InvariantRegistry& invariants() = 0;
+  /// Brings up the initial cohort. Returns false (with the failure
+  /// recorded) when it could not.
+  virtual bool bootstrap() = 0;
+  /// Records one action in the trace and applies it. No-op once failed.
+  /// `anchor_us` (a util/wallclock steady_usec() instant, 0 = none) starts
+  /// the budgets of run_for and the awaits at that instant rather than at
+  /// this call: a driver stepping one action into several backends that
+  /// run concurrently in real time anchors them all at once, so their
+  /// budgets overlap instead of adding up. Virtual-time backends ignore it.
+  void step(const Action& a, std::uint64_t anchor_us = 0);
+  /// Final harvest + invariant evaluation; call once, after the last step.
+  ScenarioResult finish();
+
+  bool failed() const { return failed_; }
+  const std::string& failure() const { return failure_; }
+  /// Completed client ops so far — a driver diffs this across a step() to
+  /// judge whether one routed attempt completed.
+  std::uint64_t ops_completed() const { return op_latency_.count(); }
+  /// One observation round; true when every node answered.
+  virtual bool sample() = 0;
+  /// The converged() predicate over the latest observation.
+  virtual bool converged_sampled() const = 0;
+  virtual IdSet alive_ids() const = 0;
+  /// Latest believed membership for client routing: the common
+  /// configuration when there is one, else the alive set.
+  virtual IdSet routing_config() const = 0;
+
+  TraceRecorder& trace() { return trace_; }
+  InvariantRegistry& invariants() { return *registry_; }
+
+ protected:
+  ScenarioBackend(ScenarioSpec spec, std::uint64_t seed)
+      : spec_(std::move(spec)), seed_(seed) {}
+
+  virtual void apply(const Action& a) = 0;
+  /// Pulls in late completions and fills the backend-specific result
+  /// fields; finish() adds the shared ones afterwards.
+  virtual void settle(ScenarioResult& r) = 0;
+
+  void fail(const Action& a, const std::string& detail);
+  IdSet targets_or_alive(const Action& a) const {
+    return a.targets.empty() ? alive_ids() : a.targets;
+  }
+
+  ScenarioSpec spec_;
+  std::uint64_t seed_;
+  TraceRecorder trace_;
+  std::unique_ptr<InvariantRegistry> registry_;
+  bool failed_ = false;
+  std::string failure_;
+  /// Client-op latencies across every workload action.
+  util::LatencyHistogram op_latency_;
+  /// The current step's anchor_us (0 outside an anchored step).
+  std::uint64_t anchor_us_ = 0;
 };
 
 }  // namespace ssr::scenario

@@ -26,28 +26,6 @@
 namespace ssr::scenario {
 namespace {
 
-std::uint64_t digest_ids(const IdSet& ids) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  for (NodeId id : ids) h = TraceRecorder::mix(h, id);
-  return h;
-}
-
-std::uint64_t digest_name(const std::string& s) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  for (char c : s) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
-  return h;
-}
-
-std::uint64_t digest_action(const Action& a) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  h = TraceRecorder::mix(h, digest_ids(a.targets));
-  h = TraceRecorder::mix(h, digest_ids(a.group_b));
-  h = TraceRecorder::mix(h, a.n);
-  h = TraceRecorder::mix(h, a.duration);
-  for (char c : a.reg) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
-  return h;
-}
-
 std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
                         const std::string& key) {
   auto it = kv.find(key);
@@ -58,7 +36,7 @@ std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
 }  // namespace
 
 ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
-    : spec_(std::move(spec)), opt_(std::move(opt)) {
+    : ScenarioBackend(std::move(spec), opt.seed), opt_(std::move(opt)) {
   SSR_ASSERT(!opt_.node_binary.empty(),
              "ProcessBackendOptions.node_binary is required");
   epoch_usec_ = steady_usec();
@@ -99,6 +77,10 @@ ProcessRunner::~ProcessRunner() {
 
 SimTime ProcessRunner::now() const { return steady_usec() - epoch_usec_; }
 
+SimTime ProcessRunner::budget_start() const {
+  return anchor_us_ > epoch_usec_ ? anchor_us_ - epoch_usec_ : now();
+}
+
 SimTime ProcessRunner::scaled(SimTime sim_duration) const {
   return static_cast<SimTime>(static_cast<double>(sim_duration) *
                               opt_.time_scale);
@@ -113,7 +95,7 @@ void ProcessRunner::step_sleep() const {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 }
 
-IdSet ProcessRunner::alive() const {
+IdSet ProcessRunner::alive_ids() const {
   IdSet out;
   for (const auto& [id, p] : procs_) {
     if (p.alive) out.insert(id);
@@ -121,12 +103,8 @@ IdSet ProcessRunner::alive() const {
   return out;
 }
 
-IdSet ProcessRunner::targets_or_alive(const Action& a) const {
-  return a.targets.empty() ? alive() : a.targets;
-}
-
-bool ProcessRunner::converged_now() const {
-  const IdSet live = alive();
+bool ProcessRunner::converged_sampled() const {
+  const IdSet live = alive_ids();
   if (live.empty()) return false;
   bool first = true;
   IdSet common;
@@ -144,12 +122,12 @@ bool ProcessRunner::converged_now() const {
 }
 
 bool ProcessRunner::vs_stable_now() const {
-  if (!converged_now()) return false;
+  if (!converged_sampled()) return false;
   bool any = false;
   bool first = true;
   std::uint64_t view = 0;
   NodeId crd = kNoNode;
-  for (NodeId id : alive()) {
+  for (NodeId id : alive_ids()) {
     const Proc& p = procs_.at(id);
     if (!p.sampled || !p.has_vs) return false;
     if (!p.participant) continue;  // joiners sync up after installation
@@ -164,14 +142,6 @@ bool ProcessRunner::vs_stable_now() const {
     any = true;
   }
   return any;
-}
-
-void ProcessRunner::fail(const Action& a, const std::string& detail) {
-  if (failed_) return;
-  failed_ = true;
-  std::ostringstream os;
-  os << to_string(a.kind) << ": " << detail;
-  failure_ = os.str();
 }
 
 // -- Process management ------------------------------------------------------
@@ -375,7 +345,7 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
   return true;
 }
 
-bool ProcessRunner::sample_all() {
+bool ProcessRunner::sample() {
   bool all = true;
   for (auto& [id, p] : procs_) {
     if (!p.alive || p.paused) continue;
@@ -487,8 +457,7 @@ void ProcessRunner::do_garbage(std::uint64_t per_node) {
 // -- Run loop ----------------------------------------------------------------
 
 bool ProcessRunner::bootstrap() {
-  SSR_ASSERT(!bootstrapped_, "bootstrap() spawns the cohort once");
-  bootstrapped_ = true;
+  SSR_ASSERT(!ran_, "bootstrap() spawns the cohort once");
   ran_ = true;  // the destructor's keep-the-scratch-dir logic keys on this
 
   // Bootstrap cohort: spawn everyone against a placeholder map (all ports
@@ -523,55 +492,19 @@ bool ProcessRunner::bootstrap() {
   return !failed_;
 }
 
-void ProcessRunner::step(const Action& a) {
-  if (failed_) return;
-  trace_.record(TraceKind::kActionApplied, kNoNode,
-                static_cast<std::uint64_t>(a.kind), digest_action(a));
-  apply(a);
-}
-
 IdSet ProcessRunner::routing_config() const {
-  if (converged_now()) {
+  if (converged_sampled()) {
     for (const auto& [id, p] : procs_) {
       (void)id;
       if (p.alive && p.sampled) return p.cfg;
     }
   }
-  return alive();
+  return alive_ids();
 }
 
-ScenarioResult ProcessRunner::run() {
-  SSR_ASSERT(!ran_, "a ProcessRunner runs its spec once");
-  ran_ = true;
-
-  bootstrap();
-  for (const Phase& phase : spec_.phases) {
-    if (failed_) break;
-    trace_.record(TraceKind::kPhaseStart, kNoNode, digest_name(phase.name));
-    for (const Action& a : phase.actions) step(a);
-  }
-  return finish();
-}
-
-ScenarioResult ProcessRunner::finish() {
+void ProcessRunner::settle(ScenarioResult& r) {
   harvest_ops();
-
-  ScenarioResult r;
-  r.name = spec_.name;
-  r.seed = opt_.seed;
-  r.failure = failure_;
-  r.violations = registry_->check_all();
-  r.ok = !failed_ && r.violations.empty();
-  // Any failure — missed await OR invariant violation — must keep the
-  // scratch directory: the destructor keys on failed_.
-  if (!r.ok) failed_ = true;
-  r.trace_hash = trace_.hash();
-  r.trace_events = trace_.size();
   r.sim_time = now();
-  r.ops_completed = op_latency_.count();
-  r.op_p50_us = op_latency_.percentile(50);
-  r.op_p99_us = op_latency_.percentile(99);
-  r.op_latency = op_latency_;
   for (const auto& [id, p] : procs_) {
     (void)id;
     r.packets_sent += p.sent;
@@ -579,7 +512,6 @@ ScenarioResult ProcessRunner::finish() {
     r.net_syscalls += p.syscalls;
     r.net_batched += p.batched;
   }
-  return r;
 }
 
 void ProcessRunner::apply(const Action& a) {
@@ -644,7 +576,7 @@ void ProcessRunner::apply(const Action& a) {
       // Mirrors harness::FaultInjector::split_config: the first half of the
       // alive set (in id order) believes `targets`, the rest believe
       // `group_b`.
-      const IdSet all = alive();
+      const IdSet all = alive_ids();
       std::size_t i = 0;
       for (NodeId id : all) {
         const bool first_half = i < all.size() / 2;
@@ -682,20 +614,21 @@ void ProcessRunner::apply(const Action& a) {
       do_shmem(a, /*write=*/false);
       return;
     case ActionKind::kRunFor: {
-      const SimTime deadline = now() + scaled(a.duration);
+      const SimTime deadline = budget_start() + scaled(a.duration);
       while (now() < deadline && !failed_) {
-        sample_all();
+        sample();
         step_sleep();
       }
       return;
     }
     case ActionKind::kAwaitConverged: {
-      if (!await(await_budget(a.duration), [&] { return converged_now(); })) {
+      if (!await(await_budget(a.duration),
+                 [&] { return converged_sampled(); })) {
         if (!failed_) fail(a, "no convergence within the time budget");
         return;
       }
       trace_.record(TraceKind::kConverged, kNoNode,
-                    digest_ids(procs_.at(*alive().begin()).cfg));
+                    digest_ids(procs_.at(*alive_ids().begin()).cfg));
       return;
     }
     case ActionKind::kAwaitVsStable: {
@@ -728,7 +661,7 @@ void ProcessRunner::apply(const Action& a) {
     }
     case ActionKind::kAwaitConfigEqualsAlive: {
       auto caught_up = [&] {
-        const IdSet live = alive();
+        const IdSet live = alive_ids();
         for (NodeId id : live) {
           const Proc& p = procs_.at(id);
           if (!p.sampled || !p.cfg_proper || !(p.cfg == live)) return false;
@@ -746,7 +679,7 @@ void ProcessRunner::apply(const Action& a) {
       // unresponsive daemon (busy lap, loopback drop) gets retried — one
       // missed node here would turn into a spurious closure violation at
       // its next successful sample.
-      for (int lap = 0; lap < 20 && !sample_all() && !failed_; ++lap) {
+      for (int lap = 0; lap < 20 && !sample() && !failed_; ++lap) {
         step_sleep();
       }
       registry_->mark_stable();
@@ -755,11 +688,11 @@ void ProcessRunner::apply(const Action& a) {
     }
     case ActionKind::kCrashAll: {
       registry_->unmark_stable();
-      for (NodeId id : alive()) kill_node(id);
+      for (NodeId id : alive_ids()) kill_node(id);
       return;
     }
     case ActionKind::kAwaitQuiescent: {
-      if (!alive().empty()) {
+      if (!alive_ids().empty()) {
         registry_->report("silence", false,
                           "await_quiescent requires every node crashed first");
         return;

@@ -74,39 +74,22 @@ class ProcessRunner final : public ScenarioBackend {
   ProcessRunner(const ProcessRunner&) = delete;
   ProcessRunner& operator=(const ProcessRunner&) = delete;
 
-  ScenarioResult run() override;
-  TraceRecorder& trace() override { return trace_; }
-  InvariantRegistry& invariants() override { return *registry_; }
-
   const std::string& work_dir() const { return dir_; }
 
-  // -- Multi-fleet driving (shard::ShardedProcessRunner) ---------------------
-  // The three stages of run(), exposed so a driver owning several fleets can
-  // interleave their scripts: run() is exactly bootstrap(), then every phase
-  // action through step(), then finish().
-
-  /// Spawns the initial cohort and publishes the port map. Returns false
-  /// (with the failure recorded) when any daemon failed to start.
-  bool bootstrap();
-  /// Applies one action; records it in the trace first. No-op once failed.
-  void step(const Action& a);
-  /// Final harvest + invariant evaluation; call once, after the last step.
-  ScenarioResult finish();
-
-  bool failed() const { return failed_; }
-  const std::string& failure() const { return failure_; }
-  /// Completed client ops harvested so far — a driver diffs this across a
-  /// step() to judge whether one routed attempt completed.
-  std::uint64_t ops_completed() const { return op_latency_.count(); }
-  /// Ids of the currently alive daemons.
-  IdSet alive_ids() const { return alive(); }
-  /// One sampling round; true when every polled daemon answered.
-  bool sample() { return sample_all(); }
-  /// The converged() predicate over the latest samples (no new sampling).
-  bool converged_sampled() const { return converged_now(); }
-  /// Latest believed membership for client routing: the common sampled
-  /// configuration when the fleet agrees on one, else the alive set.
-  IdSet routing_config() const;
+  /// Spawns the initial cohort and publishes the port map.
+  bool bootstrap() override;
+  /// One STATUS round over every alive, unpaused node. Config changes
+  /// observed since the previous round are recorded into the trace and the
+  /// config-history monitor. An unreachable node is checked against
+  /// waitpid: an unexpected exit fails the scenario. Returns true when
+  /// every polled node answered this round.
+  bool sample() override;
+  /// Every alive node reports noReco and the same proper configuration in
+  /// its latest sample.
+  bool converged_sampled() const override;
+  IdSet alive_ids() const override;
+  /// Over the latest samples (no new sampling).
+  IdSet routing_config() const override;
 
  private:
   struct Proc {
@@ -143,6 +126,9 @@ class ProcessRunner final : public ScenarioBackend {
 
   /// Wall microseconds since run start — the backend's SimTime.
   SimTime now() const;
+  /// Where the current step's budgets start: its anchor when it has one
+  /// (ScenarioBackend::step), else now().
+  SimTime budget_start() const;
   SimTime scaled(SimTime sim_duration) const;
   SimTime await_budget(SimTime sim_duration) const;
 
@@ -151,24 +137,12 @@ class ProcessRunner final : public ScenarioBackend {
   void kill_node(NodeId id);
   void write_cohort_peer_map();
   bool collect_ports(NodeId id);
-  void fail(const Action& a, const std::string& detail);
 
-  IdSet alive() const;
-  IdSet targets_or_alive(const Action& a) const;
-  /// The converged() predicate over the latest samples: every alive node
-  /// reports noReco and the same proper configuration.
-  bool converged_now() const;
   /// World::vs_stable over the latest samples: converged, and every alive
   /// participant multicasting in one common non-null view with one
   /// coordinator.
   bool vs_stable_now() const;
 
-  /// One STATUS round over every alive, unpaused node. Config changes
-  /// observed since the previous round are recorded into the trace and the
-  /// config-history monitor. An unreachable node is checked against
-  /// waitpid: an unexpected exit fails the scenario. Returns true when
-  /// every polled node answered this round.
-  bool sample_all();
   bool sample_node(NodeId id, Proc& p);
   /// Pulls completed operations from every alive node into the
   /// counter-order monitor (incremental; safe to call repeatedly).
@@ -178,9 +152,9 @@ class ProcessRunner final : public ScenarioBackend {
   /// Sleeps in sampling steps until `pred` holds or `budget` elapses.
   template <class Pred>
   bool await(SimTime budget, Pred pred) {
-    const SimTime deadline = now() + budget;
+    const SimTime deadline = budget_start() + budget;
     for (;;) {
-      sample_all();
+      sample();
       if (failed_) return false;
       if (pred()) return true;
       if (now() >= deadline) return pred();
@@ -192,30 +166,23 @@ class ProcessRunner final : public ScenarioBackend {
   void send_blocked_sets(const IdSet& touched);
   void control_or_fail(const Action& a, NodeId id, const std::string& cmd);
 
-  void apply(const Action& a);
+  void apply(const Action& a) override;
+  void settle(ScenarioResult& r) override;
   void do_increment_burst(const Action& a);
   void do_shmem(const Action& a, bool write);
   void do_garbage(std::uint64_t per_node);
 
-  ScenarioSpec spec_;
   ProcessBackendOptions opt_;
   std::string dir_;
   bool made_dir_ = false;
   std::uint64_t epoch_usec_ = 0;
   ctl::ControlClient client_;
-  TraceRecorder trace_;
-  std::unique_ptr<InvariantRegistry> registry_;
   std::map<NodeId, Proc> procs_;
   /// Runner-side view of each node's peer filter (BLOCK replaces the whole
   /// set, so partitions accumulate here and ship as full sets).
   std::map<NodeId, IdSet> blocked_;
   NodeId next_id_ = 1;
-  bool failed_ = false;
-  std::string failure_;
-  /// Wall-clock client-op latencies harvested from the daemons.
-  util::LatencyHistogram op_latency_;
   bool ran_ = false;
-  bool bootstrapped_ = false;
 };
 
 }  // namespace ssr::scenario

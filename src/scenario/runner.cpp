@@ -1,31 +1,7 @@
 #include "scenario/runner.hpp"
 
-#include <sstream>
-
 namespace ssr::scenario {
 namespace {
-
-std::uint64_t digest_ids(const IdSet& ids) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  for (NodeId id : ids) h = TraceRecorder::mix(h, id);
-  return h;
-}
-
-std::uint64_t digest_action(const Action& a) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  h = TraceRecorder::mix(h, digest_ids(a.targets));
-  h = TraceRecorder::mix(h, digest_ids(a.group_b));
-  h = TraceRecorder::mix(h, a.n);
-  h = TraceRecorder::mix(h, a.duration);
-  for (char c : a.reg) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
-  return h;
-}
-
-std::uint64_t digest_name(const std::string& s) {
-  std::uint64_t h = TraceRecorder::kFnvBasis;
-  for (char c : s) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
-  return h;
-}
 
 // The "replace on any suspected member" prediction policy.
 reconf::RecMA::EvalConf aggressive_eval(node::Node& n) {
@@ -54,7 +30,7 @@ reconf::RecMA::EvalConf with_adoption(node::Node& n,
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)), seed_(seed) {
+    : ScenarioBackend(std::move(spec), seed) {
   harness::WorldConfig cfg;
   cfg.seed = seed;
   cfg.node.enable_vs = spec_.enable_vs;
@@ -69,7 +45,11 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec, std::uint64_t seed)
       std::make_unique<harness::FaultInjector>(*world_, seed ^ 0xFA417ULL);
   registry_ = std::make_unique<InvariantRegistry>(*world_);
   trace_.attach(*world_);
+}
+
+bool ScenarioRunner::bootstrap() {
   for (std::size_t i = 0; i < spec_.initial_nodes; ++i) add_fresh_node();
+  return true;
 }
 
 NodeId ScenarioRunner::add_fresh_node() {
@@ -89,55 +69,28 @@ NodeId ScenarioRunner::add_fresh_node() {
   return id;
 }
 
-void ScenarioRunner::fail(const Action& a, const std::string& detail) {
-  if (failed_) return;
-  failed_ = true;
-  std::ostringstream os;
-  os << to_string(a.kind) << ": " << detail;
-  failure_ = os.str();
+IdSet ScenarioRunner::routing_config() const {
+  const auto common = world_->common_config();
+  return common ? *common : world_->alive();
 }
 
-IdSet ScenarioRunner::targets_or_alive(const Action& a) const {
-  return a.targets.empty() ? world_->alive() : a.targets;
+bool ScenarioRunner::accepts_ops(NodeId id) const {
+  return world_->has_node(id) && !world_->node(id).crashed() &&
+         !paused_.contains(id);
 }
 
-ScenarioResult ScenarioRunner::run() {
-  for (const Phase& phase : spec_.phases) {
-    if (failed_) break;
-    trace_.record(TraceKind::kPhaseStart, kNoNode, digest_name(phase.name));
-    for (const Action& a : phase.actions) {
-      if (failed_) break;
-      trace_.record(TraceKind::kActionApplied, kNoNode,
-                    static_cast<std::uint64_t>(a.kind), digest_action(a));
-      apply(a);
-    }
-  }
-
+void ScenarioRunner::settle(ScenarioResult& r) {
   harvest_increments();
-
-  ScenarioResult r;
-  r.name = spec_.name;
-  r.seed = seed_;
-  r.failure = failure_;
-  r.violations = registry_->check_all();
-  r.ok = !failed_ && r.violations.empty();
-  r.trace_hash = trace_.hash();
-  r.trace_events = trace_.size();
   r.sim_time = world_->scheduler().now();
   r.sched_events = world_->scheduler().events_executed();
   const wire::BufferPool::Stats& pool = wire::BufferPool::local().stats();
   r.pool_acquired = pool.acquired - pool_at_start_.acquired;
   r.pool_reused = pool.reused - pool_at_start_.reused;
-  r.ops_completed = op_latency_.count();
-  r.op_p50_us = op_latency_.percentile(50);
-  r.op_p99_us = op_latency_.percentile(99);
-  r.op_latency = op_latency_;
   world_->network().for_each_channel(
       [&r](NodeId, NodeId, net::Channel& ch) {
         r.packets_sent += ch.stats().sent;
         r.packets_delivered += ch.stats().delivered;
       });
-  return r;
 }
 
 void ScenarioRunner::apply(const Action& a) {
@@ -272,6 +225,7 @@ void ScenarioRunner::apply(const Action& a) {
       registry_->unmark_stable();
       for (NodeId id : a.targets) {
         world_->network().isolate(id);
+        paused_.insert(id);
         trace_.record(TraceKind::kNodePaused, id);
       }
       return;
@@ -279,6 +233,7 @@ void ScenarioRunner::apply(const Action& a) {
     case ActionKind::kResumeNodes: {
       for (NodeId id : a.targets) {
         world_->network().rejoin(id);
+        paused_.erase(id);
         trace_.record(TraceKind::kNodeResumed, id);
       }
       return;
@@ -291,7 +246,7 @@ void ScenarioRunner::do_increment_burst(const Action& a) {
   // Sequential ops create real-time-ordered pairs, which is exactly what the
   // counter-order invariant (Theorem 4.6) constrains.
   for (NodeId id : clients) {
-    if (!world_->has_node(id) || world_->node(id).crashed()) continue;
+    if (!accepts_ops(id)) continue;
     for (std::uint64_t op = 0; op < a.n; ++op) {
       auto& client = world_->node(id).increment();
       bool completed = false;
@@ -355,7 +310,7 @@ void ScenarioRunner::do_shmem(const Action& a, bool write) {
     bool ok = false;
   };
   for (NodeId id : targets_or_alive(a)) {
-    if (!world_->has_node(id) || world_->node(id).crashed()) continue;
+    if (!accepts_ops(id)) continue;
     auto& svc = world_->node(id).registers();
     bool succeeded = false;
     for (int attempt = 0; attempt < 12 && !succeeded; ++attempt) {

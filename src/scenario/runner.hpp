@@ -20,18 +20,22 @@ class ScenarioRunner final : public ScenarioBackend {
  public:
   ScenarioRunner(ScenarioSpec spec, std::uint64_t seed);
 
-  /// Runs every phase, then evaluates the invariant registry.
-  ScenarioResult run() override;
+  /// Adds the initial cohort; always succeeds.
+  bool bootstrap() override;
+  /// Nothing to poll: the world is observed directly.
+  bool sample() override { return true; }
+  bool converged_sampled() const override { return world_->converged(); }
+  IdSet alive_ids() const override { return world_->alive(); }
+  IdSet routing_config() const override;
 
   harness::World& world() { return *world_; }
-  TraceRecorder& trace() override { return trace_; }
-  InvariantRegistry& invariants() override { return *registry_; }
 
  private:
-  void apply(const Action& a);
+  void apply(const Action& a) override;
+  void settle(ScenarioResult& r) override;
   NodeId add_fresh_node();
-  void fail(const Action& a, const std::string& detail);
-  IdSet targets_or_alive(const Action& a) const;
+  /// Alive and not paused: a stopped process takes no commands.
+  bool accepts_ops(NodeId id) const;
 
   /// Runs until `pred` holds, polling every `step`; true iff met in time.
   template <class Pred>
@@ -59,19 +63,13 @@ class ScenarioRunner final : public ScenarioBackend {
     std::optional<counter::Counter> got;
   };
 
-  ScenarioSpec spec_;
-  std::uint64_t seed_;
   /// Buffer-pool counters at construction, for per-run deltas.
   wire::BufferPool::Stats pool_at_start_;
   std::unique_ptr<harness::World> world_;
   std::unique_ptr<harness::FaultInjector> injector_;
-  TraceRecorder trace_;
-  std::unique_ptr<InvariantRegistry> registry_;
   NodeId next_id_ = 1;
-  bool failed_ = false;
-  std::string failure_;
-  /// Virtual-time client-op latencies across every workload action.
-  util::LatencyHistogram op_latency_;
+  /// Nodes stopped by kPauseNodes and not yet resumed.
+  IdSet paused_;
   /// Attempts whose await timed out with the operation still in flight;
   /// re-harvested at every burst and once more before check_all().
   std::vector<std::pair<NodeId, std::shared_ptr<PendingIncrement>>>

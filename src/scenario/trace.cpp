@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "harness/world.hpp"
+#include "scenario/scenario.hpp"
 
 namespace ssr::scenario {
 namespace {
@@ -100,6 +101,28 @@ std::uint64_t TraceRecorder::mix(std::uint64_t h, std::uint64_t x) {
   for (int i = 0; i < 8; ++i) {
     h = (h ^ ((x >> (8 * i)) & 0xFF)) * kFnvPrime;
   }
+  return h;
+}
+
+std::uint64_t digest_ids(const IdSet& ids) {
+  std::uint64_t h = TraceRecorder::kFnvBasis;
+  for (NodeId id : ids) h = TraceRecorder::mix(h, id);
+  return h;
+}
+
+std::uint64_t digest_name(const std::string& s) {
+  std::uint64_t h = TraceRecorder::kFnvBasis;
+  for (char c : s) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
+  return h;
+}
+
+std::uint64_t digest_action(const Action& a) {
+  std::uint64_t h = TraceRecorder::kFnvBasis;
+  h = TraceRecorder::mix(h, digest_ids(a.targets));
+  h = TraceRecorder::mix(h, digest_ids(a.group_b));
+  h = TraceRecorder::mix(h, a.n);
+  h = TraceRecorder::mix(h, a.duration);
+  for (char c : a.reg) h = TraceRecorder::mix(h, static_cast<std::uint8_t>(c));
   return h;
 }
 

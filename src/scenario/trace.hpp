@@ -10,11 +10,16 @@
 
 #include "util/types.hpp"
 
+namespace ssr {
+class IdSet;
+}
 namespace ssr::harness {
 class World;
 }
 
 namespace ssr::scenario {
+
+struct Action;
 
 /// Canonical event kinds recorded by every scenario run. The stream is the
 /// ground truth the invariant registry and the replay tests reason about:
@@ -132,5 +137,12 @@ class TraceRecorder {
   std::vector<std::unique_ptr<Segment>> segs_;
   std::size_t size_ = 0;
 };
+
+/// Trace-payload digests shared by every backend, folded with
+/// TraceRecorder::mix so the recorded words are backend-independent.
+std::uint64_t digest_ids(const IdSet& ids);
+std::uint64_t digest_name(const std::string& s);
+/// Every parameter of an action (kind excluded: it is recorded alongside).
+std::uint64_t digest_action(const Action& a);
 
 }  // namespace ssr::scenario

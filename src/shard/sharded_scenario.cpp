@@ -25,6 +25,10 @@ std::string ShardedResult::summary() const {
 
 const std::vector<ShardedSpec>& sharded_library() {
   static const std::vector<ShardedSpec> lib = [] {
+    using A = scenario::Action;
+    using S = ShardedStep;
+    // Every node of a fresh 3-node fleet: what pausing a whole shard stops.
+    const IdSet fleet = {1, 2, 3};
     std::vector<ShardedSpec> v;
 
     {
@@ -36,11 +40,11 @@ const std::vector<ShardedSpec>& sharded_library() {
           "3 shards x 3 nodes bootstrap independently; a keyed increment "
           "workload routes across all shards and every shard converges";
       s.shards = 3;
-      s.actions = {
-          ShardedAction::await_all_converged(90 * kSec),
-          ShardedAction::mark_stable(),
-          ShardedAction::workload(18, "boot"),
-          ShardedAction::await_all_converged(60 * kSec),
+      s.steps = {
+          S::on_all(A::await_converged(90 * kSec)),
+          S::on_all(A::mark_stable()),
+          S::workload(18, "boot"),
+          S::on_all(A::await_converged(60 * kSec)),
       };
       v.push_back(std::move(s));
     }
@@ -57,19 +61,19 @@ const std::vector<ShardedSpec>& sharded_library() {
           "crash in shard 0 + full stall of shard 1; shards 0 and 2 keep "
           "serving the workload and shard 2 never reconfigures";
       s.shards = 3;
-      s.actions = {
-          ShardedAction::await_all_converged(90 * kSec),
-          ShardedAction::mark_stable(),
-          ShardedAction::workload(9, "pre"),
-          ShardedAction::crash_one_in_shard(0),
-          ShardedAction::pause_shard(1),
+      s.steps = {
+          S::on_all(A::await_converged(90 * kSec)),
+          S::on_all(A::mark_stable()),
+          S::workload(9, "pre"),
+          S::on_shard(0, A::crash({1})),
+          S::on_shard(1, A::pause_nodes(fleet)),
           // Give shard 0 room to replace the crashed member before keyed
           // traffic returns; shard 1 stays stalled through the workload.
-          ShardedAction::run_for(30 * kSec),
-          ShardedAction::workload(18, "mid"),
-          ShardedAction::resume_shard(1),
-          ShardedAction::await_all_converged(150 * kSec),
-          ShardedAction::workload(9, "post"),
+          S::on_all(A::run_for(30 * kSec)),
+          S::workload(18, "mid"),
+          S::on_shard(1, A::resume_nodes(fleet)),
+          S::on_all(A::await_converged(150 * kSec)),
+          S::workload(9, "post"),
       };
       v.push_back(std::move(s));
     }
@@ -87,19 +91,19 @@ const std::vector<ShardedSpec>& sharded_library() {
           "redirected keys complete on the fresh shard";
       s.shards = 3;
       s.initial_map_shards = 2;
-      s.actions = {
-          ShardedAction::await_all_converged(90 * kSec),
-          ShardedAction::workload(12, "pre"),
+      s.steps = {
+          S::on_all(A::await_converged(90 * kSec)),
+          S::workload(12, "pre"),
           // uniform(2)'s most-loaded shard is shard 0 (ties break low), and
           // with_shard_added() steals exactly its slots first — so stalling
           // shard 0 guarantees some mid-workload redirects land on the
           // fresh shard.
-          ShardedAction::pause_shard(0),
-          ShardedAction::grow_map(),
-          ShardedAction::workload(18, "grow"),
-          ShardedAction::resume_shard(0),
-          ShardedAction::await_all_converged(150 * kSec),
-          ShardedAction::workload(9, "post"),
+          S::on_shard(0, A::pause_nodes(fleet)),
+          S::grow_map(),
+          S::workload(18, "grow"),
+          S::on_shard(0, A::resume_nodes(fleet)),
+          S::on_all(A::await_converged(150 * kSec)),
+          S::workload(9, "post"),
       };
       v.push_back(std::move(s));
     }

@@ -3,16 +3,14 @@
 // Multi-shard scenario model: K independent quorum groups (shards), each
 // running the paper's full self-stabilizing reconfiguration stack, driven
 // by one keyed workload through the client Router. A sharded scenario is a
-// single sequence of shard-aware actions; per-shard correctness is judged
+// single sequence of shard-aware steps; per-shard correctness is judged
 // by the same InvariantRegistry machinery as single-shard scenarios, and a
 // cross-shard isolation invariant on top: faults injected into one shard
 // must not stall convergence or workload progress in any other shard.
 //
-// Two execution backends exist, mirroring the single-shard engine:
-//  * ShardedSimRunner      — K harness::Worlds advanced in deterministic
-//    round-robin lockstep on one thread (sharded_sim.hpp);
-//  * ShardedProcessRunner  — K disjoint ssr_node fleets, one OS process
-//    per node, faults via signals (sharded_process.hpp, POSIX only).
+// A sharded run is K ordinary single-group runs plus a client router:
+// shard::ShardedRunner drives one scenario::ScenarioBackend per shard, so
+// the same script runs on K simulated worlds or K disjoint ssr_node fleets.
 
 #include <cstdint>
 #include <optional>
@@ -20,51 +18,40 @@
 #include <vector>
 
 #include "scenario/backend.hpp"
+#include "scenario/scenario.hpp"
 #include "shard/shard_map.hpp"
 #include "util/types.hpp"
 
 namespace ssr::shard {
 
-struct ShardedAction {
+/// One step of a sharded script. Whatever one fleet can do on its own is
+/// a plain scenario::Action addressed to one shard or to every shard; only
+/// the keyed workload and the map growth span shards.
+struct ShardedStep {
   enum class Kind {
-    kRunFor,             // every shard advances `duration`
-    kAwaitAllConverged,  // every non-faulted shard converged within budget
-    kWorkload,           // n keyed increments routed through the Router
-    kCrashOneInShard,    // crash the lowest-id alive node of `shard`
-    kPauseShard,         // stop every node of `shard` (sim: isolate fabric;
-                         // process: SIGSTOP)
-    kResumeShard,        // undo kPauseShard
-    kGrowMap,            // router adopts map().with_shard_added()
-    kMarkStable,         // open a closure window on every shard
+    kAction,    // `action` on `shard`, or on every shard not paused
+    kWorkload,  // n keyed increments routed through the Router
+    kGrowMap,   // router adopts map().with_shard_added()
   };
+  static constexpr ShardId kAllShards = ~ShardId{0};
 
-  Kind kind{};
-  ShardId shard = 0;
+  Kind kind = Kind::kAction;
+  ShardId shard = kAllShards;
+  scenario::Action action;
   std::uint64_t n = 0;
-  SimTime duration = 0;
   std::string key_prefix;
 
-  static ShardedAction run_for(SimTime d) {
-    return {Kind::kRunFor, 0, 0, d, {}};
+  static ShardedStep on_shard(ShardId s, scenario::Action a) {
+    return {Kind::kAction, s, std::move(a), 0, {}};
   }
-  static ShardedAction await_all_converged(SimTime budget) {
-    return {Kind::kAwaitAllConverged, 0, 0, budget, {}};
+  static ShardedStep on_all(scenario::Action a) {
+    return {Kind::kAction, kAllShards, std::move(a), 0, {}};
   }
-  static ShardedAction workload(std::uint64_t n, std::string key_prefix) {
-    return {Kind::kWorkload, 0, n, 0, std::move(key_prefix)};
+  static ShardedStep workload(std::uint64_t n, std::string key_prefix) {
+    return {Kind::kWorkload, kAllShards, {}, n, std::move(key_prefix)};
   }
-  static ShardedAction crash_one_in_shard(ShardId s) {
-    return {Kind::kCrashOneInShard, s, 0, 0, {}};
-  }
-  static ShardedAction pause_shard(ShardId s) {
-    return {Kind::kPauseShard, s, 0, 0, {}};
-  }
-  static ShardedAction resume_shard(ShardId s) {
-    return {Kind::kResumeShard, s, 0, 0, {}};
-  }
-  static ShardedAction grow_map() { return {Kind::kGrowMap, 0, 0, 0, {}}; }
-  static ShardedAction mark_stable() {
-    return {Kind::kMarkStable, 0, 0, 0, {}};
+  static ShardedStep grow_map() {
+    return {Kind::kGrowMap, kAllShards, {}, 0, {}};
   }
 };
 
@@ -78,7 +65,7 @@ struct ShardedSpec {
   /// traffic to them (the shard-map epoch-change scenario).
   std::uint32_t initial_map_shards = 0;
   std::size_t nodes_per_shard = 3;
-  std::vector<ShardedAction> actions;
+  std::vector<ShardedStep> steps;
 
   std::uint32_t map_shards() const {
     return initial_map_shards == 0 ? shards : initial_map_shards;
@@ -105,13 +92,6 @@ struct ShardedResult {
   std::uint64_t ops_redirected = 0;
 
   std::string summary() const;
-};
-
-/// A backend that can execute a ShardedSpec.
-class ShardedBackend {
- public:
-  virtual ~ShardedBackend() = default;
-  virtual ShardedResult run() = 0;
 };
 
 /// The multi-shard scenario library: bootstrap, fault isolation, and

@@ -48,8 +48,10 @@ TEST(Label, TotalLessIsDeterministicOnIncomparables) {
 TEST(Label, NextLabelDominatesKnown) {
   Rng rng(5);
   std::vector<Label> known;
+  std::vector<const Label*> ptrs;
   for (std::uint32_t s = 100; s < 110; ++s) known.push_back(mk(3, s, {s + 1}));
-  Label next = Label::next_label(3, known, rng);
+  for (const Label& k : known) ptrs.push_back(&k);
+  Label next = Label::next_label(3, ptrs, rng);
   EXPECT_EQ(next.creator, 3u);
   for (const Label& k : known) {
     EXPECT_TRUE(Label::cancels(k, next)) << k.to_string();
@@ -58,7 +60,8 @@ TEST(Label, NextLabelDominatesKnown) {
 
 TEST(Label, NextLabelIgnoresForeignCreators) {
   Rng rng(7);
-  std::vector<Label> known{mk(9, 1, {2})};
+  const Label foreign = mk(9, 1, {2});
+  const Label* known[] = {&foreign};
   Label next = Label::next_label(3, known, rng);
   EXPECT_EQ(next.creator, 3u);
   EXPECT_TRUE(next.antistings.empty());
@@ -69,7 +72,9 @@ TEST(Label, NextLabelChainGrows) {
   Rng rng(11);
   std::vector<Label> known;
   for (int i = 0; i < 20; ++i) {
-    Label next = Label::next_label(1, known, rng);
+    std::vector<const Label*> ptrs;
+    for (const Label& k : known) ptrs.push_back(&k);
+    Label next = Label::next_label(1, ptrs, rng);
     for (const Label& k : known) EXPECT_TRUE(Label::cancels(k, next));
     known.insert(known.begin(), next);
     if (known.size() > Label::kAntistings) known.pop_back();

@@ -1,11 +1,24 @@
-#include "shard/sharded_sim.hpp"
-
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "scenario/runner.hpp"
+#include "shard/sharded_runner.hpp"
 #include "shard/sharded_scenario.hpp"
 
 namespace ssr::shard {
 namespace {
+
+// K simulated worlds under the one sharded runner.
+ShardedResult run_sharded_sim(const ShardedSpec& spec, std::uint64_t seed) {
+  ShardedRunner runner(spec, seed,
+                       [](const scenario::ScenarioSpec& fleet,
+                          std::uint64_t shard_seed, std::uint32_t) {
+                         return std::make_unique<scenario::ScenarioRunner>(
+                             fleet, shard_seed);
+                       });
+  return runner.run();
+}
 
 TEST(ShardedSim, LibraryRunsClean) {
   ASSERT_GE(sharded_library().size(), 3u);
@@ -66,6 +79,20 @@ TEST(ShardedSim, MapGrowthRedirectsKeysUnderLoad) {
   ASSERT_EQ(r.per_shard.size(), 3u);
   EXPECT_GT(r.per_shard[2].ops_completed, 0u)
       << "fresh shard never served a redirected key";
+}
+
+// Every completed op lands in its shard's latency histogram, so sweep
+// aggregation (which merges histograms) sees the same ops the ledger counts.
+TEST(ShardedSim, LatencyHistogramCoversEveryCompletedOp) {
+  for (const ShardedSpec& spec : sharded_library()) {
+    const ShardedResult r = run_sharded_sim(spec, 7);
+    std::uint64_t completed = 0;
+    for (const auto& shard : r.per_shard) {
+      EXPECT_EQ(shard.op_latency.count(), shard.ops_completed) << shard.name;
+      completed += shard.ops_completed;
+    }
+    EXPECT_GT(completed, 0u) << spec.name;
+  }
 }
 
 }  // namespace

@@ -49,11 +49,10 @@
 #include "scenario/runner.hpp"
 #include "scenario/spec_io.hpp"
 #include "scenario/sweep.hpp"
+#include "shard/sharded_runner.hpp"
 #include "shard/sharded_scenario.hpp"
-#include "shard/sharded_sim.hpp"
 #ifdef __unix__
 #include "scenario/process_runner.hpp"
-#include "shard/sharded_process.hpp"
 #endif
 
 namespace {
@@ -99,28 +98,41 @@ void list_sharded_scenarios() {
   }
 }
 
-/// Runs one sharded spec under the selected backend; prints the aggregate
-/// summary and one line per shard.
-bool run_one_sharded(const shard::ShardedSpec& spec, const CliOptions& cli) {
-  shard::ShardedResult r;
-  if (cli.backend == "process") {
+/// The selected backend for one run of `spec`. `shard_tag` is nonzero for
+/// one shard of a sharded run. Only called once main() has checked the
+/// backend is available.
+std::unique_ptr<ScenarioBackend> make_backend(const ScenarioSpec& spec,
+                                              const CliOptions& cli,
+                                              std::uint64_t seed,
+                                              std::uint32_t shard_tag = 0) {
 #ifdef __unix__
+  if (cli.backend == "process") {
     ProcessBackendOptions opt;
     opt.node_binary = cli.node_bin;
+    // One subdirectory per scenario (and per shard: fleet specs are named
+    // "<spec>/shard<s>") so multi-run invocations don't clobber each
+    // other's peer maps and logs.
     opt.work_dir =
         cli.work_dir.empty() ? "" : cli.work_dir + "/" + spec.name;
     opt.keep_dir = cli.keep_logs;
     opt.time_scale = cli.time_scale;
-    opt.seed = cli.seed;
-    r = shard::run_sharded_process(spec, opt);
-#else
-    std::fprintf(stderr, "backend 'process' is not available on this "
-                         "platform\n");
-    return false;
-#endif
-  } else {
-    r = shard::run_sharded_sim(spec, cli.seed);
+    opt.seed = seed;
+    opt.shard = shard_tag;
+    return std::make_unique<ProcessRunner>(spec, std::move(opt));
   }
+#endif
+  return std::make_unique<ScenarioRunner>(spec, seed);
+}
+
+/// Runs one sharded spec; prints the aggregate summary and one line per
+/// shard.
+bool run_one_sharded(const shard::ShardedSpec& spec, const CliOptions& cli) {
+  shard::ShardedRunner runner(
+      spec, cli.seed,
+      [&cli](const ScenarioSpec& fleet, std::uint64_t seed, std::uint32_t tag) {
+        return make_backend(fleet, cli, seed, tag);
+      });
+  const shard::ShardedResult r = runner.run();
   std::printf("%s\n", r.summary().c_str());
   for (const ScenarioResult& pr : r.per_shard) {
     std::printf("  %s\n", pr.summary().c_str());
@@ -128,36 +140,10 @@ bool run_one_sharded(const shard::ShardedSpec& spec, const CliOptions& cli) {
   return r.ok;
 }
 
-std::unique_ptr<ScenarioBackend> make_backend(const ScenarioSpec& spec,
-                                              const CliOptions& cli) {
-  if (cli.backend == "process") {
-#ifdef __unix__
-    ProcessBackendOptions opt;
-    opt.node_binary = cli.node_bin;
-    // One subdirectory per scenario so multi-run invocations don't clobber
-    // each other's peer maps and logs.
-    opt.work_dir =
-        cli.work_dir.empty() ? "" : cli.work_dir + "/" + spec.name;
-    opt.keep_dir = cli.keep_logs;
-    opt.time_scale = cli.time_scale;
-    opt.seed = cli.seed;
-    return std::make_unique<ProcessRunner>(spec, std::move(opt));
-#else
-    return nullptr;
-#endif
-  }
-  return std::make_unique<ScenarioRunner>(spec, cli.seed);
-}
-
 /// Runs one spec; prints the summary (and, under the process backend, where
 /// the logs live when the run failed).
 bool run_one(const ScenarioSpec& spec, const CliOptions& cli) {
-  auto backend = make_backend(spec, cli);
-  if (!backend) {
-    std::fprintf(stderr, "backend '%s' is not available on this platform\n",
-                 cli.backend.c_str());
-    return false;
-  }
+  auto backend = make_backend(spec, cli, cli.seed);
   const ScenarioResult r = backend->run();
   std::printf("%s\n", r.summary().c_str());
   if (cli.trace_lines > 0) {
@@ -367,6 +353,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown backend '%s'\n", cli.backend.c_str());
     return 2;
   }
+#ifndef __unix__
+  if (cli.backend == "process") {
+    std::fprintf(stderr, "backend 'process' is not available on this "
+                         "platform\n");
+    return 2;
+  }
+#endif
   if (cli.backend == "process" && cli.node_bin.empty()) {
     std::fprintf(stderr, "--backend process requires --node-bin\n");
     return 2;

@@ -452,7 +452,7 @@ class Daemon {
     }
     if (req.cmd == "PLANT_CTR" && a.size() == 1) {
       counter::Counter c;
-      c.lbl = label::Label::next_label(opt_.id, std::vector<label::Label>{}, corrupt_rng_);
+      c.lbl = label::Label::next_label(opt_.id, {}, corrupt_rng_);
       c.seqn = std::strtoull(a[0].c_str(), nullptr, 10);
       c.wid = opt_.id;
       node_->counters().store().inject_max(opt_.id,
