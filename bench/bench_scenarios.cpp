@@ -232,10 +232,37 @@ std::map<int, UdpBatchAgg>& udp_batch_metrics() {
 }
 #endif
 
+/// The CPU model from /proc/cpuinfo ("unknown" elsewhere), stripped of
+/// characters that would need escaping in JSON. Timings are only comparable
+/// on the same host, so the bench names it next to them.
+std::string cpu_model() {
+  std::string model = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      const std::string l = line;
+      if (l.rfind("model name", 0) != 0) continue;
+      const std::size_t colon = l.find(':');
+      if (colon == std::string::npos) continue;
+      model.clear();
+      for (char c : l.substr(colon + 1)) {
+        if (c != '"' && c != '\\' && c != '\n') model += c;
+      }
+      if (!model.empty() && model.front() == ' ') model.erase(0, 1);
+      break;
+    }
+    std::fclose(f);
+  }
+  return model;
+}
+
 void write_json(const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) return;
-  std::fprintf(f, "{\n  \"benchmark\": \"scenarios\",\n  \"scenarios\": [\n");
+  std::fprintf(f, "{\n  \"benchmark\": \"scenarios\",\n");
+  std::fprintf(f, "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u},\n",
+               cpu_model().c_str(), std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"scenarios\": [\n");
   bool first = true;
   for (const auto& [name, a] : metrics()) {
     if (a.iterations == 0) continue;

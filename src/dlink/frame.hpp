@@ -36,8 +36,36 @@ struct Frame {
   wire::Bytes payload;           // bundle bytes (kData only)
 
   wire::Bytes encode() const;
+  /// parse_frame() plus a pooled copy of the payload.
   static std::optional<Frame> decode(const wire::Bytes& raw);
 };
+
+/// A parsed, seal-verified frame that borrows its payload from the buffer
+/// it was parsed from, so it is valid only while that buffer is. The hot
+/// receive path reads headers through it without copying the payload.
+struct FrameView {
+  FrameKind kind = FrameKind::kData;
+  NodeId link_sender = kNoNode;
+  std::uint8_t label = 0;
+  const std::uint8_t* payload = nullptr;  // kData only; points into raw
+  std::size_t payload_size = 0;
+
+  /// The payload in a buffer from the thread's BufferPool.
+  wire::Bytes copy_payload() const;
+};
+
+/// The frame layout, written once: u8 kind, u32 link sender, u8 label,
+/// (kData only) u32-length-prefixed payload, then the u32 seal over every
+/// preceding byte. `payload` is ignored for the other kinds.
+wire::Bytes encode_frame(FrameKind kind, NodeId link_sender, std::uint8_t label,
+                         const wire::Bytes& payload = {});
+
+/// The one frame parser: nullopt unless `raw` is exactly one well-formed
+/// frame whose seal verifies. The seal covers every preceding byte: a
+/// flipped bit in a value field parses structurally but not semantically —
+/// without it, corrupt_probability runs can deliver a valid-looking message
+/// with different content (found by scenario_fuzz as a VS divergence).
+std::optional<FrameView> parse_frame(const wire::Bytes& raw);
 
 /// One multiplexed item inside a data frame's payload bundle.
 struct BundleItem {

@@ -136,7 +136,7 @@ void LinkMux::deliver_bundle(NodeId peer, const wire::Bytes& bundle) {
 
 void LinkMux::handle_packet(const net::Packet& pkt) {
   if (down_) return;
-  auto frame = Frame::decode(pkt.payload);
+  const std::optional<FrameView> frame = parse_frame(pkt.payload);
   if (!frame) return;  // garbage or corrupted — drop
   // A link is named by its sender; only frames naming `self` or the actual
   // network source are meaningful here (paper, Section 2: mismatched labels
@@ -147,8 +147,6 @@ void LinkMux::handle_packet(const net::Packet& pkt) {
   auto& ps = ensure_peer(pkt.src);
   ps.link->start();
   ps.link->handle_frame(*frame);
-  // The decoded payload slice dies here; recycle it for the next frame.
-  wire::BufferPool::local().release(std::move(frame->payload));
 }
 
 IdSet LinkMux::peers() const {

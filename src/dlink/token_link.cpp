@@ -7,73 +7,6 @@
 
 namespace ssr::dlink {
 
-wire::Bytes Frame::encode() const {
-  wire::Writer w;
-  w.reserve(1 + 4 + 1 + 4 + payload.size() + 4);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.node_id(link_sender);
-  w.u8(label);
-  if (kind == FrameKind::kData) w.bytes(payload);
-  w.seal();
-  return w.take();
-}
-
-std::optional<Frame> Frame::decode(const wire::Bytes& raw) {
-  wire::Reader r(raw);
-  Frame f;
-  const std::uint8_t kind = r.u8();
-  if (kind < 1 || kind > 4) return std::nullopt;
-  f.kind = static_cast<FrameKind>(kind);
-  f.link_sender = r.node_id();
-  f.label = r.u8();
-  if (f.kind == FrameKind::kData) f.payload = r.bytes();
-  // The seal (last u32) covers every preceding byte: a flipped bit in a
-  // value field decodes structurally but not semantically — without this,
-  // corrupt_probability runs can deliver a valid-looking message with
-  // different content (found by scenario_fuzz as a VS divergence).
-  const std::uint32_t seal = r.u32();
-  if (!r.ok() || !r.exhausted()) return std::nullopt;
-  if (seal != wire::fnv1a32(raw.data(), raw.size() - 4)) return std::nullopt;
-  return f;
-}
-
-wire::Bytes encode_bundle(const std::vector<BundleItem>& items) {
-  wire::Writer w;
-  std::size_t total = 1;
-  for (const auto& item : items) total += 1 + 1 + 4 + item.data.size();
-  w.reserve(total);
-  w.u8(static_cast<std::uint8_t>(items.size()));
-  for (const auto& item : items) {
-    w.u8(item.port);
-    w.boolean(item.is_state);
-    w.bytes(item.data);
-  }
-  return w.take();
-}
-
-bool decode_bundle(const wire::Bytes& raw, std::vector<BundleItem>& out) {
-  out.clear();
-  wire::Reader r(raw);
-  const std::uint8_t n = r.u8();
-  out.reserve(n);
-  for (std::uint8_t i = 0; i < n; ++i) {
-    BundleItem item;
-    item.port = r.u8();
-    item.is_state = r.boolean();
-    item.data = r.bytes();
-    if (!r.ok()) return false;
-    // ssr-lint: allow(hot-path-alloc): decode scratch growth; buffers inside are pooled.
-    out.push_back(std::move(item));
-  }
-  return r.ok() && r.exhausted();
-}
-
-std::optional<std::vector<BundleItem>> decode_bundle(const wire::Bytes& raw) {
-  std::vector<BundleItem> items;
-  if (!decode_bundle(raw, items)) return std::nullopt;
-  return items;
-}
-
 TokenLink::TokenLink(net::Transport& transport, Rng rng, LinkConfig cfg,
                      NodeId self, NodeId peer, ComposeFn compose,
                      DeliverFn deliver, HeartbeatFn heartbeat)
@@ -120,23 +53,13 @@ void TokenLink::on_timer() {
 }
 
 void TokenLink::transmit_current() {
-  // Encoded in place (byte-identical to Frame::encode) so the every-round
-  // retransmission neither copies tx_payload_ into a temporary Frame nor
-  // allocates: the Writer buffer comes from the pool.
-  wire::Writer w;
-  w.reserve(1 + 4 + 1 + 4 + tx_payload_.size() + 4);
-  if (tx_state_ == TxState::kCleaning) {
-    w.u8(static_cast<std::uint8_t>(FrameKind::kClean));
-    w.node_id(self_);
-    w.u8(clean_nonce_);
-  } else {
-    w.u8(static_cast<std::uint8_t>(FrameKind::kData));
-    w.node_id(self_);
-    w.u8(tx_label_);
-    w.bytes(tx_payload_);
-  }
-  w.seal();
-  transport_.send(self_, peer_, w.take());
+  // Re-encoded and re-sealed on every send: no sealed copy of the frame
+  // outlives the send (see wire::fnv1a32 for why).
+  const bool cleaning = tx_state_ == TxState::kCleaning;
+  transport_.send(self_, peer_,
+                  encode_frame(cleaning ? FrameKind::kClean : FrameKind::kData,
+                               self_, cleaning ? clean_nonce_ : tx_label_,
+                               tx_payload_));
 }
 
 void TokenLink::begin_round() {
@@ -148,7 +71,7 @@ void TokenLink::begin_round() {
   transmit_current();
 }
 
-void TokenLink::handle_frame(const Frame& frame) {
+void TokenLink::handle_frame(const FrameView& frame) {
   if (down_) return;
   switch (frame.kind) {
     case FrameKind::kData: {
@@ -161,11 +84,9 @@ void TokenLink::handle_frame(const Frame& frame) {
         ++stats_.stale_discarded;
         return;
       }
-      Frame ack;
-      ack.kind = FrameKind::kAck;
-      ack.link_sender = peer_;  // names the link, i.e. its sender
-      ack.label = frame.label;
-      transport_.send(self_, peer_, ack.encode());
+      // The ack names the link, i.e. its sender.
+      transport_.send(self_, peer_,
+                      encode_frame(FrameKind::kAck, peer_, frame.label));
       const bool seen =
           std::find(rx_recent_.begin(), rx_recent_.end(), frame.label) !=
           rx_recent_.end();
@@ -177,7 +98,11 @@ void TokenLink::handle_frame(const Frame& frame) {
         while (rx_recent_.size() > cfg_.label_domain / 2u) rx_recent_.pop_back();
         ++stats_.frames_delivered;
         heartbeat_();
-        deliver_(frame.payload);
+        // Only a fresh label's payload is copied out of the packet; the
+        // retransmitted duplicates that dominate a silent run never are.
+        wire::Bytes payload = frame.copy_payload();
+        deliver_(payload);
+        wire::BufferPool::local().release(std::move(payload));
       }
       return;
     }
@@ -209,11 +134,8 @@ void TokenLink::handle_frame(const Frame& frame) {
       }
       ++rx_clean_count_;
       if (rx_clean_count_ > cfg_.clean_threshold) rx_clean_ = true;
-      Frame ack;
-      ack.kind = FrameKind::kCleanAck;
-      ack.link_sender = peer_;
-      ack.label = frame.label;
-      transport_.send(self_, peer_, ack.encode());
+      transport_.send(self_, peer_,
+                      encode_frame(FrameKind::kCleanAck, peer_, frame.label));
       return;
     }
     case FrameKind::kCleanAck: {

@@ -62,7 +62,8 @@ class TokenLink {
   /// Cancels all timers (crash / disconnect).
   void shutdown();
 
-  void handle_frame(const Frame& frame);
+  /// Handles one parsed frame; its payload is copied only when delivered.
+  void handle_frame(const FrameView& frame);
 
   /// Statistics for tests and benches.
   struct Stats {

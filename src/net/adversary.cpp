@@ -3,25 +3,6 @@
 #include "dlink/frame.hpp"
 
 namespace ssr::net {
-namespace {
-
-/// Header-only peek at a dlink frame: kind, link sender and ARQ label
-/// without copying the payload (Frame::decode would allocate a payload
-/// buffer per packet — this is the per-delivery hot path). Layout mirrors
-/// Frame::encode: u8 kind, u32 sender, u8 label.
-bool peek_frame_header(const wire::Bytes& raw, dlink::FrameKind& kind,
-                       NodeId& sender, std::uint8_t& label) {
-  wire::Reader r(raw);
-  const std::uint8_t k = r.u8();
-  if (k < 1 || k > 4) return false;
-  sender = r.node_id();
-  label = r.u8();
-  if (!r.ok()) return false;
-  kind = static_cast<dlink::FrameKind>(k);
-  return true;
-}
-
-}  // namespace
 
 SimTime Adversary::delivery_delay(NodeId src, NodeId dst,
                                   const wire::Bytes& payload, SimTime base,
@@ -36,21 +17,20 @@ SimTime Adversary::delivery_delay(NodeId src, NodeId dst,
   // Rule 1 — stale labels first. Token links retransmit one labelled frame
   // until acked, then step the label; delivering the *repeats* early and
   // holding the *transition* back means receivers keep chewing on old state
-  // while new state crawls. Garbage/undecodable payloads skip this rule.
-  dlink::FrameKind kind{};
-  NodeId sender = kNoNode;
-  std::uint8_t label = 0;
-  if (cfg_.stale_first > 0 &&
-      peek_frame_header(payload, kind, sender, label) &&
-      kind == dlink::FrameKind::kData) {
+  // while new state crawls. Anything but a sealed data frame (garbage
+  // included) skips this rule. The frame is parsed in place; its payload is
+  // never copied.
+  const std::optional<dlink::FrameView> frame =
+      cfg_.stale_first > 0 ? dlink::parse_frame(payload) : std::nullopt;
+  if (frame && frame->kind == dlink::FrameKind::kData) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(src) << 32) | dst;
     auto it = last_label_.find(key);
-    const bool fresh = it == last_label_.end() || it->second != label;
+    const bool fresh = it == last_label_.end() || it->second != frame->label;
     if (fresh) {
       // ssr-lint: allow(hot-path-alloc) growing-container: one slot per
       // directed link, bounded by the topology; steady state is find-only.
-      last_label_[key] = label;
+      last_label_[key] = frame->label;
     }
     if (rng_.chance(cfg_.stale_first)) {
       ++stats_.stale_preferred;

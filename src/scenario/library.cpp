@@ -275,7 +275,8 @@ ScenarioSpec adversarial_bitflips() {
       "full stack with the VS layer under worst-case scheduling plus 1% "
       "wire bit flips; promoted from a scenario_fuzz counterexample where "
       "a flipped bit inside a value field decoded as a valid message and "
-      "broke virtual synchrony — frames are sealed with fnv1a32 since";
+      "broke virtual synchrony — every frame carries a 32-bit seal since, "
+      "and the frame parser drops any frame whose seal does not verify";
   s.initial_nodes = 5;
   s.enable_vs = true;
   s.corrupt_probability = 0.01;

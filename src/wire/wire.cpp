@@ -1,15 +1,44 @@
 #include "wire/wire.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace ssr::wire {
 
+namespace {
+
+/// One 64-bit multiply-xorshift step: a bijection of `h` for a fixed word
+/// and of the word for a fixed `h`, so two inputs that differ in a single
+/// word always leave different states behind.
+inline std::uint64_t mix_word(std::uint64_t h, std::uint64_t w) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;  // odd: invertible
+  h = (h ^ w) * kMul;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
 std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t len) {
-  // 64-bit FNV-1a folded by xor — cheaper per byte than the 32-bit variant
-  // on 64-bit hardware and mixes the high bytes into the fold.
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
+  // Words are read in host order; the wire format is little-endian, so only
+  // a little-endian host computes the seal a peer expects.
+  static_assert(std::endian::native == std::endian::little,
+                "the frame seal reads 8-byte words as little-endian");
+  std::uint64_t h = 0xCBF29CE484222325ULL ^ static_cast<std::uint64_t>(len);
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, data + i, 8);
+    h = mix_word(h, w);
   }
+  std::uint64_t tail = 0;
+  if (i < len) std::memcpy(&tail, data + i, len - i);
+  h = mix_word(h, tail);
+  // fmix64 avalanche (MurmurHash3 finalizer), folded to 32 bits.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
   return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 

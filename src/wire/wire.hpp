@@ -12,12 +12,29 @@ namespace ssr::wire {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/// FNV-1a over a byte range, folded to 32 bits. The end-to-end frame
-/// integrity check: structural decode validation catches truncation and
-/// garbage, but a bit flip inside a value field yields a VALID message
-/// with different semantics — scenario_fuzz found exactly that as a
-/// virtual-synchrony violation under corrupt_prob + the adversarial
-/// scheduler. Every data-link frame is sealed with this digest.
+/// The 32-bit frame seal: the end-to-end integrity check of every data-link
+/// frame. Structural decode validation catches truncation and garbage, but
+/// a bit flip inside a value field yields a VALID message with different
+/// semantics — scenario_fuzz found exactly that as a virtual-synchrony
+/// violation under corrupt_prob + the adversarial scheduler.
+///
+/// The digest works a word at a time: the length seeds a 64-bit state, each
+/// 8-byte little-endian word (and the zero-padded tail) is mixed in as
+/// `h = (h ^ w) * K; h ^= h >> 32`, and an fmix64 avalanche is folded to
+/// 32 bits. Each step is a bijection in both the state and the word, so a
+/// frame that differs from the sealed one in a single word always reaches a
+/// different 64-bit state. It compiles only on little-endian hosts, so
+/// peers built anywhere agree on the seal of a UDP frame.
+///
+/// The name is historical: the seal began as a byte-serial FNV-1a, and
+/// callers (benches included) still reach it under this name.
+///
+/// Sealed frames are deliberately never cached across retransmissions:
+/// a cached copy would be a second replica of the link's (label, payload)
+/// state that a transient fault could corrupt on its own, and a sender
+/// stuck retransmitting a frame whose seal no longer verifies is never
+/// acknowledged. Re-sealing on every send keeps the link self-stabilizing;
+/// the word-at-a-time digest keeps that cheap.
 std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t len);
 
 /// Freelist of payload buffers for the simulator/transport hot path.

@@ -80,11 +80,11 @@ struct LinkPair {
         transport, Rng(2), cfg, 2, 1, [this] { return pop(b_outbox); },
         [this](const wire::Bytes& d) { b_got_push(d); }, [this] { ++b_beats; });
     transport.attach(1, [this](const net::Packet& p) {
-      auto f = Frame::decode(p.payload);
+      auto f = parse_frame(p.payload);
       if (f) a->handle_frame(*f);
     });
     transport.attach(2, [this](const net::Packet& p) {
-      auto f = Frame::decode(p.payload);
+      auto f = parse_frame(p.payload);
       if (f) b->handle_frame(*f);
     });
   }

@@ -211,11 +211,11 @@ TEST(UdpTransport, TokenLinkPairCompletesRoundsOverSockets) {
       },
       [] {});
   ta.attach(1, [&](const Packet& p) {
-    auto f = dlink::Frame::decode(p.payload);
+    auto f = dlink::parse_frame(p.payload);
     if (f) a.handle_frame(*f);
   });
   tb.attach(2, [&](const Packet& p) {
-    auto f = dlink::Frame::decode(p.payload);
+    auto f = dlink::parse_frame(p.payload);
     if (f) b.handle_frame(*f);
   });
   a.start();

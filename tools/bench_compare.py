@@ -7,6 +7,10 @@ than that factor (e.g. --max-regress 2.0 fails on a 2x slowdown). Without
 the flag the comparison is informational, which is the right default for
 shared CI runners whose absolute timings wobble.
 
+The top-level "host" field (CPU model and core count of the machine that
+produced the file) is printed for context and never compared: a host
+difference explains timings, it is not a regression.
+
 Usage:
   tools/bench_compare.py BENCH_scenarios.json build/BENCH_scenarios.json
   tools/bench_compare.py --max-regress 2.0 baseline.json candidate.json
@@ -21,6 +25,7 @@ def load(path):
     with open(path) as f:
         doc = json.load(f)
     return (
+        doc.get("host"),
         {s["name"]: s for s in doc.get("scenarios", [])},
         {s["shards"]: s for s in doc.get("sharded_throughput", [])},
         {s["batch"]: s for s in doc.get("udp_batch", [])},
@@ -87,8 +92,12 @@ def main():
     )
     args = ap.parse_args()
 
-    base, base_sharded, base_udp, base_sweep = load(args.baseline)
-    cand, cand_sharded, cand_udp, cand_sweep = load(args.candidate)
+    base_host, base, base_sharded, base_udp, base_sweep = load(args.baseline)
+    cand_host, cand, cand_sharded, cand_udp, cand_sweep = load(args.candidate)
+    for side, host in (("baseline", base_host), ("candidate", cand_host)):
+        if host:
+            print(f"{side} host: {host.get('cpu', '?')}, "
+                  f"nproc {host.get('nproc', '?')}")
 
     rows = []
     failed = []
