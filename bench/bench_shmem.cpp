@@ -24,6 +24,14 @@ bool write_sync(harness::World& w, NodeId id, const std::string& name,
   return done && ok;
 }
 
+// Register "r0".."r2" for operation i. Built with append: GCC 12 flags
+// `"r" + std::string&&` with a false -Wrestrict in Release builds.
+std::string reg_name(int i) {
+  std::string name = "r";
+  name += std::to_string(i % 3);
+  return name;
+}
+
 bool read_sync(harness::World& w, NodeId id, const std::string& name,
                std::string* value_out, double* ms_out = nullptr) {
   bool done = false, ok = false;
@@ -54,8 +62,7 @@ void BM_RegisterOps(benchmark::State& state) {
     for (int i = 0; i < 10; ++i) {
       const NodeId who = 1 + (i % n);
       double ms = 0;
-      if (write_sync(w, who, "r" + std::to_string(i % 3),
-                     std::to_string(i), &ms)) {
+      if (write_sync(w, who, reg_name(i), std::to_string(i), &ms)) {
         write_ms += ms;
         writes += 1;
       } else {
@@ -67,7 +74,7 @@ void BM_RegisterOps(benchmark::State& state) {
       const NodeId who = 1 + ((i + 1) % n);
       double ms = 0;
       std::string v;
-      if (read_sync(w, who, "r" + std::to_string(i % 3), &v, &ms)) {
+      if (read_sync(w, who, reg_name(i), &v, &ms)) {
         read_ms += ms;
         reads += 1;
       } else {

@@ -24,9 +24,10 @@ struct Feeder {
     });
   }
   void produce(NodeId id) {
+    std::string key = "k";  // append, not `"k" + ...`: GCC 12 -Wrestrict
+    key += std::to_string(produced % 16);
     pending[id].push_back(
-        vs::KvStateMachine::set_cmd("k" + std::to_string(produced % 16),
-                                    std::to_string(produced)));
+        vs::KvStateMachine::set_cmd(key, std::to_string(produced)));
     ++produced;
   }
 };

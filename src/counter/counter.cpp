@@ -44,8 +44,14 @@ CounterPair CounterPair::decode(wire::Reader& r) {
 }
 
 std::string CounterPair::to_string() const {
-  return "<" + (mct ? mct->to_string() : "⊥") + "," +
-         (cct ? cct->to_string() : "⊥") + ">";
+  // Built with append: GCC 12 flags `"lit" + std::string&&` with a false
+  // -Wrestrict in Release builds.
+  std::string out = "<";
+  out += mct ? mct->to_string() : "⊥";
+  out += ',';
+  out += cct ? cct->to_string() : "⊥";
+  out += '>';
+  return out;
 }
 
 }  // namespace ssr::counter

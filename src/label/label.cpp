@@ -113,8 +113,12 @@ LabelPair LabelPair::decode(wire::Reader& r) {
 }
 
 std::string LabelPair::to_string() const {
-  return "<" + (ml ? ml->to_string() : "⊥") + "," +
-         (cl ? cl->to_string() : "⊥") + ">";
+  std::string out = "<";  // append, not `"<" + ...`: see CounterPair
+  out += ml ? ml->to_string() : "⊥";
+  out += ',';
+  out += cl ? cl->to_string() : "⊥";
+  out += '>';
+  return out;
 }
 
 }  // namespace ssr::label

@@ -25,8 +25,12 @@ Notification Notification::decode(wire::Reader& r) {
 
 std::string Notification::to_string() const {
   if (is_default()) return "<0,⊥>";
-  return "<" + std::to_string(static_cast<int>(phase)) + "," +
-         (has_set ? set.to_string() : "⊥") + ">";
+  std::string out = "<";  // append, not `"<" + ...`: see CounterPair
+  out += std::to_string(static_cast<int>(phase));
+  out += ',';
+  out += has_set ? set.to_string() : "⊥";
+  out += '>';
+  return out;
 }
 
 }  // namespace ssr::reconf

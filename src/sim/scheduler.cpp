@@ -1,5 +1,7 @@
 #include "sim/scheduler.hpp"
 
+#include <bit>
+
 #include "util/assert.hpp"
 
 namespace ssr::sim {
@@ -7,14 +9,13 @@ namespace ssr::sim {
 void Scheduler::reserve(std::size_t events) {
   slots_.reserve(events);
   heap_.reserve(events);
-  staged_.reserve(64);
 }
 
 std::uint32_t Scheduler::alloc_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNoSlot;
+    free_head_ = slots_[slot].next;
+    slots_[slot].next = kNoSlot;
     return slot;
   }
   // ssr-lint: allow(hot-path-alloc): slab growth, bounded by the peak live-event population.
@@ -25,7 +26,7 @@ std::uint32_t Scheduler::alloc_slot() {
 void Scheduler::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   // Bumping the generation retires every outstanding {slot, gen} handle and
-  // turns the slot's heap entry into a tombstone in one store.
+  // turns a far event's heap entry into a tombstone in one store.
   ++s.gen;
   s.kind = Kind::kFree;
   s.sink = nullptr;
@@ -34,12 +35,12 @@ void Scheduler::free_slot(std::uint32_t slot) {
     s.payload = wire::Bytes();
   }
   if (s.fn) s.fn = nullptr;
-  s.next_free = free_head_;
+  s.next = free_head_;
   free_head_ = slot;
   --live_;
 }
 
-void Scheduler::heap_push(const HeapEntry& e) const {
+void Scheduler::heap_push(const HeapEntry& e) {
   std::size_t i = heap_.size();
   // ssr-lint: allow(hot-path-alloc): amortized heap growth, capacity sticks across laps.
   heap_.resize(i + 1);
@@ -52,7 +53,7 @@ void Scheduler::heap_push(const HeapEntry& e) const {
   heap_[i] = e;
 }
 
-void Scheduler::heap_pop() const {
+void Scheduler::heap_pop() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   const std::size_t n = heap_.size();
@@ -74,15 +75,66 @@ void Scheduler::heap_pop() const {
 }
 
 Scheduler::Handle Scheduler::push_event(SimTime when, std::uint32_t slot) {
-  HeapEntry e{when, next_seq_++, slot, slots_[slot].gen};
+  Slot& s = slots_[slot];
+  const std::uint64_t seq = next_seq_++;
   ++live_;
-  if (in_step_) {
-    // ssr-lint: allow(hot-path-alloc): staging buffer keeps its capacity across steps.
-    staged_.push_back(e);
-  } else {
-    heap_push(e);
+  s.far = when - now_ >= kWheelSize;
+  if (s.far) {
+    heap_push(HeapEntry{when, seq, slot, s.gen});
+    return Handle(this, slot, s.gen);
   }
-  return Handle(this, slot, e.gen);
+  s.when = when;
+  s.seq = seq;
+  const std::size_t b = when % kWheelSize;
+  Bucket& bucket = buckets_[b];
+  s.prev = bucket.tail;
+  s.next = kNoSlot;
+  if (bucket.tail == kNoSlot) {
+    bucket.head = slot;
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+  } else {
+    slots_[bucket.tail].next = slot;
+  }
+  bucket.tail = slot;
+  ++wheel_events_;
+  return Handle(this, slot, s.gen);
+}
+
+std::uint32_t Scheduler::wheel_head() const {
+  if (wheel_events_ == 0) return kNoSlot;
+  // Wheel events lie in [now_, now_ + kWheelSize), so the first occupied
+  // bucket at or after now_'s bucket, wrapping once, is the earliest.
+  const std::size_t start = now_ % kWheelSize;
+  std::size_t w = start / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  while (bits == 0) {
+    w = (w + 1) % kWheelWords;
+    bits = occupied_[w];
+  }
+  return buckets_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))]
+      .head;
+}
+
+void Scheduler::wheel_unlink(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  const std::size_t b = s.when % kWheelSize;
+  Bucket& bucket = buckets_[b];
+  if (s.prev == kNoSlot) {
+    bucket.head = s.next;
+  } else {
+    slots_[s.prev].next = s.next;
+  }
+  if (s.next == kNoSlot) {
+    bucket.tail = s.prev;
+  } else {
+    slots_[s.next].prev = s.prev;
+  }
+  if (bucket.head == kNoSlot) {
+    occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  }
+  s.prev = kNoSlot;
+  s.next = kNoSlot;
+  --wheel_events_;
 }
 
 Scheduler::Handle Scheduler::schedule_after(SimTime delay, Action action) {
@@ -111,6 +163,7 @@ Scheduler::Handle Scheduler::schedule_packet_after(SimTime delay,
 
 void Scheduler::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   if (slot >= slots_.size() || slots_[slot].gen != gen) return;  // stale
+  if (!slots_[slot].far) wheel_unlink(slot);
   free_slot(slot);
 }
 
@@ -118,48 +171,46 @@ bool Scheduler::event_pending(std::uint32_t slot, std::uint32_t gen) const {
   return slot < slots_.size() && slots_[slot].gen == gen;
 }
 
-void Scheduler::flush_staged() const {
-  for (const HeapEntry& e : staged_) heap_push(e);
-  staged_.clear();
-}
-
-void Scheduler::drop_tombstones() const {
-  // Popping the stale prefix is sufficient for an exact emptiness test: if
-  // the new top is live the heap is non-empty regardless of tombstones
-  // buried behind it.
-  while (!heap_.empty() && !entry_live(heap_.front())) heap_pop();
-}
-
 bool Scheduler::step(SimTime deadline) {
-  flush_staged();
-  while (!heap_.empty()) {
+  while (!heap_.empty() &&
+         slots_[heap_.front().slot].gen != heap_.front().gen) {
+    heap_pop();  // tombstone of a cancelled far event
+  }
+  std::uint32_t slot = wheel_head();
+  bool far = !heap_.empty();
+  if (far && slot != kNoSlot) {
+    const Slot& head = slots_[slot];
+    far = earlier(heap_.front(), HeapEntry{head.when, head.seq, slot, 0});
+  }
+  if (far) {
     const HeapEntry top = heap_.front();
     if (top.when > deadline) return false;
     heap_pop();
-    if (!entry_live(top)) continue;  // cancelled
+    slot = top.slot;
     now_ = top.when;
-    ++executed_;
-    Slot& s = slots_[top.slot];
-    // Move the work out and free the slot *before* executing, mirroring the
-    // old `*alive = false` semantics: while the action runs its own handle
-    // is no longer pending, and rescheduling may reuse the slot safely.
-    in_step_ = true;
-    if (s.kind == Kind::kPacket) {
-      PacketSink* sink = s.sink;
-      wire::Bytes payload = std::move(s.payload);
-      s.payload = wire::Bytes();
-      free_slot(top.slot);
-      sink->deliver_packet(std::move(payload));
-    } else {
-      Action fn = std::move(s.fn);
-      s.fn = nullptr;
-      free_slot(top.slot);
-      fn();
-    }
-    in_step_ = false;
-    return true;
+  } else {
+    if (slot == kNoSlot || slots_[slot].when > deadline) return false;
+    wheel_unlink(slot);
+    now_ = slots_[slot].when;
   }
-  return false;
+  ++executed_;
+  Slot& s = slots_[slot];
+  // Move the work out and free the slot *before* executing, mirroring the
+  // old `*alive = false` semantics: while the action runs its own handle
+  // is no longer pending, and rescheduling may reuse the slot safely.
+  if (s.kind == Kind::kPacket) {
+    PacketSink* sink = s.sink;
+    wire::Bytes payload = std::move(s.payload);
+    s.payload = wire::Bytes();
+    free_slot(slot);
+    sink->deliver_packet(std::move(payload));
+  } else {
+    Action fn = std::move(s.fn);
+    s.fn = nullptr;
+    free_slot(slot);
+    fn();
+  }
+  return true;
 }
 
 std::uint64_t Scheduler::run_until(SimTime deadline) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -28,13 +29,22 @@ class PacketSink {
 /// to the algorithms. Virtual time is microseconds.
 ///
 /// Events live in a slab of pooled slots addressed by {slot, generation}
-/// handles and ordered by a 4-ary min-heap of 24-byte POD entries
-/// keyed on the same (when, seq) pair as the original priority_queue — so
-/// execution order, FIFO tie-breaks and therefore every RNG draw are
-/// unchanged, while the steady-state hot path performs zero heap
+/// handles and run in (when, seq) order, so FIFO tie-breaks and therefore
+/// every RNG draw follow schedule order. The queue is a calendar wheel of
+/// kWheelSize one-microsecond buckets backed by a far heap:
+///  - an event less than kWheelSize us ahead is appended to the FIFO list of
+///    bucket `when % kWheelSize`, threaded through its slot. Wheel events
+///    always satisfy now <= when < now + kWheelSize, so a bucket holds one
+///    `when` and its appends arrive in seq order; an occupancy bitmap finds
+///    the next non-empty bucket from now with a count-trailing-zeros.
+///    Schedule, pop and cancel (an unlink) are O(1) and leave no tombstones;
+///  - an event further ahead goes to a 4-ary min-heap of 24-byte POD entries
+///    keyed on (when, seq). Cancelling one frees its slot (a generation
+///    bump) and the stale heap entry is dropped when it surfaces.
+/// Each step runs whichever of the wheel's head and the heap's top is
+/// earlier by (when, seq). The steady-state hot path performs zero heap
 /// allocations: no per-event std::function, no shared_ptr tombstone, and no
-/// copy-out of the top event. Cancellation is O(1) (a generation bump frees
-/// the slot; the stale heap entry is dropped lazily when it surfaces).
+/// copy-out of the next event.
 class Scheduler {
  public:
   // ssr-lint: allow(hot-path-alloc): closure events are the cold path; packets ride PacketSink.
@@ -88,14 +98,10 @@ class Scheduler {
   /// Executes exactly one event if any is pending before `deadline`.
   bool step(SimTime deadline);
 
-  /// True when no *live* events remain. Cancelled (tombstoned) entries are
-  /// lazily dropped from the front of the heap so quiescence detection is
-  /// exact: a heap holding only tombstones is empty.
-  bool empty() const {
-    flush_staged();
-    drop_tombstones();
-    return heap_.empty();
-  }
+  /// True when no *live* events remain; cancelled events never count, so
+  /// quiescence detection is exact even while the far heap holds
+  /// tombstones.
+  bool empty() const { return live_ == 0; }
   std::uint64_t events_executed() const { return executed_; }
 
   /// O(1) generation-compare primitives backing Handle and the transports'
@@ -103,8 +109,8 @@ class Scheduler {
   void cancel_event(std::uint32_t slot, std::uint32_t gen);
   bool event_pending(std::uint32_t slot, std::uint32_t gen) const;
 
-  /// Pre-sizes the slab, heap and staging buffer (warm start for worlds
-  /// that know their steady-state event population).
+  /// Pre-sizes the slab and the far heap (warm start for worlds that know
+  /// their steady-state event population).
   void reserve(std::size_t events);
 
   /// Slab footprint: slots ever allocated (live + pooled). Bounded by the
@@ -117,21 +123,36 @@ class Scheduler {
   enum class Kind : std::uint8_t { kFree = 0, kClosure, kPacket };
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Wheel horizon in microseconds; it covers every packet delay and timer
+  /// period the library schedules, so only rare long timers reach the heap.
+  static constexpr std::size_t kWheelSize = 4096;
+  static constexpr std::size_t kWheelWords = kWheelSize / 64;
 
   /// Pooled event record. `gen` is bumped every time the slot is freed, so
-  /// a {slot, gen} pair names one event incarnation forever.
+  /// a {slot, gen} pair names one event incarnation forever. A wheel event
+  /// keeps its key and its bucket links here; `next` doubles as the
+  /// free-list link while the slot is free.
   struct Slot {
     std::uint32_t gen = 0;
     Kind kind = Kind::kFree;
-    std::uint32_t next_free = kNoSlot;
+    bool far = false;  // queued in heap_, not in a bucket
+    std::uint32_t prev = kNoSlot;
+    std::uint32_t next = kNoSlot;
+    SimTime when = 0;
+    std::uint64_t seq = 0;
     PacketSink* sink = nullptr;
     wire::Bytes payload;  // packet events (pooled)
     Action fn;            // closure events
   };
 
-  /// Heap entry: the full ordering key is inline so sifts never touch the
-  /// slab. (when, seq) reproduces the original priority_queue order; a
-  /// stale (slot, gen) pair marks a tombstone of a cancelled/freed event.
+  struct Bucket {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+  };
+
+  /// Far-heap entry: the full ordering key is inline so sifts never touch
+  /// the slab. A stale (slot, gen) pair marks a tombstone of a cancelled
+  /// event.
   struct HeapEntry {
     SimTime when = 0;
     std::uint64_t seq = 0;
@@ -147,21 +168,15 @@ class Scheduler {
   // half the levels of a binary heap and cache-friendlier sift-downs. The
   // extraction order is the total order (when, seq) — seq is unique — so
   // the heap's internal shape cannot affect execution order or traces.
-  void heap_push(const HeapEntry& e) const;
-  void heap_pop() const;
+  void heap_push(const HeapEntry& e);
+  void heap_pop();
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t slot);
   Handle push_event(SimTime when, std::uint32_t slot);
-  bool entry_live(const HeapEntry& e) const {
-    return slots_[e.slot].gen == e.gen;
-  }
-  void drop_tombstones() const;
-  /// Events scheduled while a step executes are staged and enter the heap
-  /// in one batch when the step completes (the ROADMAP "batch channel
-  /// delivery events" item): a protocol step that fans a frame out to k
-  /// peers performs one staged append per send and a single flush.
-  void flush_staged() const;
+  /// First slot of the earliest non-empty bucket, or kNoSlot.
+  std::uint32_t wheel_head() const;
+  void wheel_unlink(std::uint32_t slot);
 
   SimTime now_ = 0;
   /// The thread's buffer pool, resolved once (free_slot and the packet
@@ -170,11 +185,12 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
-  bool in_step_ = false;
+  std::size_t wheel_events_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  mutable std::vector<HeapEntry> heap_;    // 4-ary min-heap (heap_push/pop)
-  mutable std::vector<HeapEntry> staged_;  // pending batch insert
+  std::array<Bucket, kWheelSize> buckets_{};
+  std::array<std::uint64_t, kWheelWords> occupied_{};  // bit b: bucket b
+  std::vector<HeapEntry> heap_;  // far events (heap_push/pop)
 };
 
 }  // namespace ssr::sim

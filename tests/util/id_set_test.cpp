@@ -23,6 +23,12 @@ TEST(IdSet, FromVectorNormalizes) {
   EXPECT_EQ(s.values(), (std::vector<NodeId>{2, 7, 9}));
 }
 
+TEST(IdSet, FromEmptyVectorIsEmpty) {
+  const IdSet s = IdSet::from_vector({});
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s, IdSet{});
+}
+
 TEST(IdSet, InsertReportsNovelty) {
   IdSet s;
   EXPECT_TRUE(s.insert(4));

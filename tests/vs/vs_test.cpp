@@ -106,8 +106,9 @@ TEST(VsSmr, VirtualSynchronyHolds) {
   Workload load;
   for (NodeId id = 1; id <= 4; ++id) load.attach(w, id);
   for (int i = 0; i < 8; ++i) {
-    load.push(1 + (i % 4),
-              vs::KvStateMachine::set_cmd("k" + std::to_string(i), "v"));
+    std::string key = "k";  // append, not `"k" + ...`: GCC 12 -Wrestrict
+    key += std::to_string(i);
+    load.push(1 + (i % 4), vs::KvStateMachine::set_cmd(key, "v"));
   }
   w.run_for(180 * kSec);
   EXPECT_GT(monitor.deliveries(), 0u);
