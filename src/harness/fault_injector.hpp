@@ -30,6 +30,18 @@ class FaultInjector {
   /// Near-exhausted counter planted at a member (epoch rollover tests).
   void plant_exhausted_counter(NodeId id, std::uint64_t seqn);
 
+  // -- Per-node fault bodies -------------------------------------------------
+  // The one definition of each fault, shared by the methods above and by
+  // ssr_node's control socket. `ids` is the id universe the node's state is
+  // corrupted against (the alive set here, the peer map in a daemon).
+  static void corrupt_recsa(node::Node& n, Rng& rng, const IdSet& ids);
+  static void corrupt_fd(node::Node& n, Rng& rng);
+  static void plant_config(node::Node& n, const IdSet& config);
+  static void plant_recma_flags(node::Node& n, const IdSet& ids, bool no_maj,
+                                bool need_reconf);
+  static void plant_exhausted_counter(node::Node& n, Rng& rng,
+                                      std::uint64_t seqn);
+
   Rng& rng() { return rng_; }
 
  private:

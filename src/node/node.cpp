@@ -10,6 +10,30 @@ reconf::RecMA::EvalConf quarter_failed_policy(const fd::ThetaFD& fd) {
   };
 }
 
+reconf::RecMA::EvalConf aggressive_eval(const fd::ThetaFD& fd) {
+  return [&fd](const IdSet& cfg) {
+    return cfg.intersection_size(fd.trusted()) < cfg.size();
+  };
+}
+
+reconf::RecMA::EvalConf with_adoption(Node& n, reconf::RecMA::EvalConf base) {
+  return [&n, base = std::move(base)](const IdSet& cfg) {
+    if (base(cfg)) return true;
+    const IdSet admitted =
+        n.recsa().participants().intersect(n.failure_detector().trusted());
+    return !admitted.subset_of(cfg);
+  };
+}
+
+void select_policy(Node& n, bool aggressive, bool adopt_joiners) {
+  if (!aggressive && !adopt_joiners) return;
+  reconf::RecMA::EvalConf eval =
+      aggressive ? aggressive_eval(n.failure_detector())
+                 : quarter_failed_policy(n.failure_detector());
+  if (adopt_joiners) eval = with_adoption(n, std::move(eval));
+  n.set_eval_conf(std::move(eval));
+}
+
 Node::Node(net::Transport& transport, NodeId id, NodeConfig cfg, Rng rng)
     : transport_(transport),
       id_(id),

@@ -32,6 +32,21 @@ struct NodeConfig {
 /// The paper's sample prediction policy: advise reconfiguration once at
 /// least a quarter of the configuration members are no longer trusted.
 reconf::RecMA::EvalConf quarter_failed_policy(const fd::ThetaFD& fd);
+/// The "replace on any suspected member" prediction policy.
+reconf::RecMA::EvalConf aggressive_eval(const fd::ThetaFD& fd);
+
+class Node;
+/// Wraps `base` with the joiner-adoption term: also advise reconfiguration
+/// while some trusted recSA participant is outside the configuration. Both
+/// stock policies count only *suspected members*, so a cohort whose churn
+/// never touches a config member (joins, or crashes of other joiners) keeps
+/// its configuration frozen — estab(participants()) only ever piggybacks on
+/// an eviction trigger.
+reconf::RecMA::EvalConf with_adoption(Node& n, reconf::RecMA::EvalConf base);
+/// Installs the policy a deployment selects: aggressive_eval instead of the
+/// default quarter policy, and/or the joiner-adoption term on top. With
+/// neither flag the node keeps its default policy untouched.
+void select_policy(Node& n, bool aggressive, bool adopt_joiners);
 
 /// One processor running the full protocol stack of Fig. 1:
 /// token links + (N,Θ)-FD + recSA + recMA + joining + labeling + counters +

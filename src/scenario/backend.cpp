@@ -38,8 +38,153 @@ void ScenarioBackend::step(const Action& a, std::uint64_t anchor_us) {
   trace_.record(TraceKind::kActionApplied, kNoNode,
                 static_cast<std::uint64_t>(a.kind), digest_action(a));
   anchor_us_ = anchor_us;
+  applying_ = &a;
   apply(a);
+  applying_ = nullptr;
   anchor_us_ = 0;
+}
+
+void ScenarioBackend::apply(const Action& a) {
+  switch (a.kind) {
+    case ActionKind::kAddNodes:
+      registry_->unmark_stable();
+      for (std::uint64_t i = 0; i < a.n && !failed_; ++i) add_node();
+      return;
+    case ActionKind::kCrash:
+    case ActionKind::kCrashAll:
+      registry_->unmark_stable();
+      for (NodeId id : a.kind == ActionKind::kCrash ? a.targets : alive_ids()) {
+        if (crash_node(id)) trace_.record(TraceKind::kNodeCrashed, id);
+      }
+      return;
+    case ActionKind::kReboot:
+      registry_->unmark_stable();
+      // Identifiers are never reused (paper, Section 2): a reboot is a
+      // crash-stop plus a fresh processor taking the slot.
+      for (NodeId id : a.targets) {
+        if (crash_node(id)) trace_.record(TraceKind::kNodeCrashed, id);
+        if (!failed_) add_node();
+      }
+      return;
+    case ActionKind::kPauseNodes:
+      registry_->unmark_stable();
+      for (NodeId id : a.targets) {
+        if (pause_node(id)) trace_.record(TraceKind::kNodePaused, id);
+      }
+      return;
+    case ActionKind::kResumeNodes:
+      for (NodeId id : a.targets) {
+        if (resume_node(id)) trace_.record(TraceKind::kNodeResumed, id);
+      }
+      return;
+    case ActionKind::kSplitNetwork:
+      registry_->unmark_stable();
+      split(a.targets, a.group_b);
+      return;
+    case ActionKind::kHealNetwork:
+      heal();
+      return;
+    case ActionKind::kCorruptRecsa:
+    case ActionKind::kCorruptFd:
+      registry_->unmark_stable();
+      for (NodeId id : targets_or_alive(a)) inject(a, id);
+      return;
+    case ActionKind::kPlantExhaustedCounter:
+    case ActionKind::kPlantRecmaFlags:
+      registry_->unmark_stable();
+      for (NodeId id : a.targets) inject(a, id);
+      return;
+    case ActionKind::kSplitConfigState: {
+      registry_->unmark_stable();
+      // The first half of the alive set (in id order) believes `targets`,
+      // the rest believe `group_b`.
+      const IdSet alive = alive_ids();
+      std::size_t i = 0;
+      for (NodeId id : alive) {
+        plant_config(id, i++ < alive.size() / 2 ? a.targets : a.group_b);
+      }
+      return;
+    }
+    case ActionKind::kGarbageChannels:
+      registry_->unmark_stable();
+      garbage_channels(a.n);
+      return;
+    case ActionKind::kIncrementBurst:
+      increment_burst(a);
+      return;
+    case ActionKind::kShmemWrite:
+      shmem_ops(a, /*write=*/true);
+      return;
+    case ActionKind::kShmemRead:
+      shmem_ops(a, /*write=*/false);
+      return;
+    case ActionKind::kRunFor:
+      run_for(a.duration);
+      return;
+    case ActionKind::kAwaitConverged:
+      if (!await(a.duration, [this] { return converged_sampled(); })) {
+        fail("no convergence within the time budget");
+        return;
+      }
+      trace_.record(TraceKind::kConverged, kNoNode,
+                    digest_ids(*common_config()));
+      return;
+    case ActionKind::kAwaitVsStable:
+      if (!spec_.enable_vs) {
+        fail("await_vs_stable needs enable_vs in the spec");
+        return;
+      }
+      if (!await(a.duration, [this] { return vs_stable(); })) {
+        fail("VS layer did not stabilize");
+        return;
+      }
+      trace_.record(TraceKind::kVsStable, kNoNode);
+      return;
+    case ActionKind::kAwaitParticipants: {
+      auto all_part = [&] {
+        for (NodeId id : a.targets) {
+          if (!participant(id)) return false;
+        }
+        return true;
+      };
+      if (!await(a.duration, all_part)) {
+        fail("targets were not admitted as participants");
+      }
+      return;
+    }
+    case ActionKind::kAwaitConfigEqualsAlive: {
+      auto caught_up = [this] {
+        const auto c = common_config();
+        return c && *c == alive_ids();
+      };
+      if (!await(a.duration, caught_up)) {
+        fail("configuration did not catch up with the alive set");
+      }
+      return;
+    }
+    case ActionKind::kMarkStable:
+      // Observe every node first, so changes from before the window opened
+      // are not attributed into it. A polling fleet retries a node that
+      // missed the round: one missed node would surface as a spurious
+      // closure violation at its next successful sample.
+      await(0, [this] { return sample(); });
+      registry_->mark_stable();
+      trace_.record(TraceKind::kStableMarked, kNoNode);
+      return;
+    case ActionKind::kAwaitQuiescent: {
+      if (!alive_ids().empty()) {
+        registry_->report("silence", false,
+                          "await_quiescent requires every node crashed first");
+        return;
+      }
+      const bool quiet = drained(a.duration);
+      registry_->report("silence", quiet,
+                        "fleet still busy after every node crashed (silent "
+                        "stabilization violated)");
+      trace_.record(TraceKind::kQuiescent, kNoNode, quiet ? 1 : 0);
+      return;
+    }
+  }
 }
 
 ScenarioResult ScenarioBackend::finish() {
@@ -62,12 +207,12 @@ ScenarioResult ScenarioBackend::finish() {
   return r;
 }
 
-void ScenarioBackend::fail(const Action& a, const std::string& detail) {
+void ScenarioBackend::fail(const std::string& detail) {
   if (failed_) return;
   failed_ = true;
-  std::ostringstream os;
-  os << to_string(a.kind) << ": " << detail;
-  failure_ = os.str();
+  failure_ = applying_ == nullptr
+                 ? detail
+                 : std::string(to_string(applying_->kind)) + ": " + detail;
 }
 
 }  // namespace ssr::scenario

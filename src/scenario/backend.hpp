@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,13 +66,18 @@ struct ScenarioResult {
   std::string summary() const;
 };
 
-/// One way of executing a ScenarioSpec. Two implementations exist:
+/// One way of executing a ScenarioSpec. The scenario interpreter lives here,
+/// once: apply() turns each Action into calls on a small set of fleet
+/// primitives and owns every rule the backends share (closure windows end
+/// on churn and faults, a reboot is a crash plus a fresh id, the halves of
+/// split_config_state, the await/failure/trace records). Two fleets
+/// implement the primitives:
 ///  * ScenarioRunner  — the deterministic in-process simulator;
 ///  * ProcessRunner   — one real ssr_node OS process per node on localhost
 ///    UDP, with faults injected through OS primitives (signals, dropped
 ///    datagrams) and a control socket.
-/// Both consume the same spec and evaluate the same InvariantRegistry, so a
-/// scenario written once runs under either harness.
+/// Both evaluate the same InvariantRegistry, so a scenario written once
+/// runs under either harness with the same meaning.
 ///
 /// A run has three stages, exposed so a driver owning several backends
 /// (shard::ShardedRunner) can interleave their scripts: run() is exactly
@@ -103,11 +110,13 @@ class ScenarioBackend {
   /// One observation round; true when every node answered.
   virtual bool sample() = 0;
   /// The converged() predicate over the latest observation.
-  virtual bool converged_sampled() const = 0;
+  bool converged_sampled() const { return common_config().has_value(); }
   virtual IdSet alive_ids() const = 0;
   /// Latest believed membership for client routing: the common
   /// configuration when there is one, else the alive set.
-  virtual IdSet routing_config() const = 0;
+  IdSet routing_config() const {
+    return common_config().value_or(alive_ids());
+  }
 
   TraceRecorder& trace() { return trace_; }
   InvariantRegistry& invariants() { return *registry_; }
@@ -116,12 +125,48 @@ class ScenarioBackend {
   ScenarioBackend(ScenarioSpec spec, std::uint64_t seed)
       : spec_(std::move(spec)), seed_(seed) {}
 
-  virtual void apply(const Action& a) = 0;
+  // -- Fleet primitives: all that apply() drives ---------------------------
+  // Durations are the spec's; a wall-clock fleet scales them itself.
+
+  /// Starts a node under the next fresh id and records kNodeAdded.
+  virtual NodeId add_node() = 0;
+  /// Crash-stops `id`; false when there was nothing to stop.
+  virtual bool crash_node(NodeId id) = 0;
+  /// Freezes / unfreezes `id`; false when the call did not apply.
+  virtual bool pause_node(NodeId id) = 0;
+  virtual bool resume_node(NodeId id) = 0;
+  /// Blocks traffic between the two groups; heal() removes every block.
+  virtual void split(const IdSet& a, const IdSet& b) = 0;
+  virtual void heal() = 0;
+  /// One per-node state fault at `id`: corrupt_recsa, corrupt_fd,
+  /// plant_exhausted_counter or plant_recma_flags (see inject_node_fault).
+  virtual void inject(const Action& a, NodeId id) = 0;
+  /// Makes `id` believe the configuration `ids`.
+  virtual void plant_config(NodeId id, const IdSet& ids) = 0;
+  virtual void garbage_channels(std::uint64_t per_channel) = 0;
+  /// Client workloads: each records its own completions.
+  virtual void increment_burst(const Action& a) = 0;
+  virtual void shmem_ops(const Action& a, bool write) = 0;
+  virtual void run_for(SimTime d) = 0;
+  /// Runs until `pred` holds or `d` elapses; true iff it held in time.
+  virtual bool await(SimTime d, const std::function<bool()>& pred) = 0;
+  /// With every node crashed: true when the fleet goes silent within `d`.
+  virtual bool drained(SimTime d) = 0;
+  /// The common configuration when converged (every alive node reports
+  /// noReco and the same proper configuration), else nullopt.
+  virtual std::optional<IdSet> common_config() const = 0;
+  virtual bool participant(NodeId id) const = 0;
+  /// Converged, and every alive participant's VS layer multicasts in one
+  /// common non-null view with one coordinator.
+  virtual bool vs_stable() const = 0;
+
   /// Pulls in late completions and fills the backend-specific result
   /// fields; finish() adds the shared ones afterwards.
   virtual void settle(ScenarioResult& r) = 0;
 
-  void fail(const Action& a, const std::string& detail);
+  /// Fails the run (first failure wins), prefixed with the kind of the
+  /// action being applied, if any.
+  void fail(const std::string& detail);
   IdSet targets_or_alive(const Action& a) const {
     return a.targets.empty() ? alive_ids() : a.targets;
   }
@@ -136,6 +181,13 @@ class ScenarioBackend {
   util::LatencyHistogram op_latency_;
   /// The current step's anchor_us (0 outside an anchored step).
   std::uint64_t anchor_us_ = 0;
+
+ private:
+  /// The scenario interpreter: one Action onto the fleet primitives.
+  void apply(const Action& a);
+
+  /// The action step() is applying (null outside a step).
+  const Action* applying_ = nullptr;
 };
 
 }  // namespace ssr::scenario

@@ -59,10 +59,11 @@ std::optional<wire::Bytes> hex_decode(const std::string& s);
 ///   OPS                          completed increments: op=<start>:<end>:<hex>
 ///   SHMEMW <reg> <salt>          queue one register write
 ///   SHMEMR <reg>                 queue one register read
-///   CORRUPT <recsa|fd>           transient-fault the named component
+///   FAULT <kind> <n>             one per-node state fault, named by its
+///                                ActionKind (corrupt_recsa, corrupt_fd,
+///                                plant_exhausted_counter, plant_recma_flags)
+///                                with the action's n (inject_node_fault)
 ///   CONF <ids>                   plant a believed configuration
-///   PLANT_CTR <seqn>             plant a near-exhausted counter
-///   RECMA <nomaj> <needreconf>   plant stale recMA flags (0/1 each)
 
 // -- Endpoints ---------------------------------------------------------------
 

@@ -103,25 +103,36 @@ IdSet ProcessRunner::alive_ids() const {
   return out;
 }
 
-bool ProcessRunner::converged_sampled() const {
-  const IdSet live = alive_ids();
-  if (live.empty()) return false;
-  bool first = true;
-  IdSet common;
-  for (NodeId id : live) {
-    const Proc& p = procs_.at(id);
-    if (!p.sampled || !p.noreco || !p.cfg_proper) return false;
-    if (first) {
+std::optional<IdSet> ProcessRunner::common_config() const {
+  std::optional<IdSet> common;
+  for (const auto& [id, p] : procs_) {
+    (void)id;
+    if (!p.alive) continue;
+    if (!p.sampled || !p.noreco || !p.cfg_proper) return std::nullopt;
+    if (!common) {
       common = p.cfg;
-      first = false;
-    } else if (!(p.cfg == common)) {
-      return false;
+    } else if (!(p.cfg == *common)) {
+      return std::nullopt;
     }
   }
-  return true;
+  return common;
 }
 
-bool ProcessRunner::vs_stable_now() const {
+bool ProcessRunner::participant(NodeId id) const {
+  auto it = procs_.find(id);
+  return it != procs_.end() && it->second.alive && it->second.sampled &&
+         it->second.participant;
+}
+
+ProcessRunner::Proc* ProcessRunner::running(NodeId id) {
+  auto it = procs_.find(id);
+  if (it == procs_.end() || !it->second.alive || it->second.paused) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
+bool ProcessRunner::vs_stable() const {
   if (!converged_sampled()) return false;
   bool any = false;
   bool first = true;
@@ -182,6 +193,7 @@ void ProcessRunner::spawn(NodeId id, const std::string& peers_path) {
   }
   if (spec_.enable_vs) args.push_back("--vs");
   if (spec_.aggressive_policy) args.push_back("--aggressive");
+  if (spec_.adopt_joiners) args.push_back("--adopt-joiners");
   if (spec_.exhaust_bound != 0) {
     args.push_back("--exhaust-bound");
     args.push_back(std::to_string(spec_.exhaust_bound));
@@ -236,7 +248,7 @@ bool ProcessRunner::collect_ports(NodeId id) {
   return false;
 }
 
-NodeId ProcessRunner::spawn_fresh_node() {
+NodeId ProcessRunner::add_node() {
   const NodeId id = next_id_++;
   // A late joiner gets its own map: every current cohort member with its
   // real port, plus itself at port 0 (bind-and-discover). Existing nodes
@@ -252,16 +264,14 @@ NodeId ProcessRunner::spawn_fresh_node() {
   spawn(id, peers_path);
   trace_.record(TraceKind::kNodeAdded, id);
   if (!collect_ports(id)) {
-    Action dummy;
-    dummy.kind = ActionKind::kAddNodes;
-    fail(dummy, "node " + std::to_string(id) + " failed to start");
+    fail("node " + std::to_string(id) + " failed to start");
   }
   return id;
 }
 
-void ProcessRunner::kill_node(NodeId id) {
+bool ProcessRunner::crash_node(NodeId id) {
   auto it = procs_.find(id);
-  if (it == procs_.end() || !it->second.alive) return;
+  if (it == procs_.end() || !it->second.alive) return false;
   Proc& p = it->second;
   // Completed operations die with the process; pull them first so the
   // counter-order record stays complete.
@@ -271,7 +281,7 @@ void ProcessRunner::kill_node(NodeId id) {
   ::waitpid(p.pid, &status, 0);
   p.pid = -1;
   p.alive = false;
-  trace_.record(TraceKind::kNodeCrashed, id);
+  return true;
 }
 
 // -- Sampling ----------------------------------------------------------------
@@ -286,8 +296,7 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
     if (p.pid > 0 && ::waitpid(p.pid, &status, WNOHANG) == p.pid) {
       p.pid = -1;
       p.alive = false;
-      failed_ = true;
-      failure_ = "node " + std::to_string(id) + " exited unexpectedly";
+      fail("node " + std::to_string(id) + " exited unexpectedly");
     }
     return false;
   }
@@ -406,31 +415,27 @@ void ProcessRunner::harvest_ops() {
 
 // -- Control helpers ---------------------------------------------------------
 
-void ProcessRunner::control_or_fail(const Action& a, NodeId id,
-                                    const std::string& cmd) {
+void ProcessRunner::control_or_fail(NodeId id, const std::string& cmd) {
   auto& p = procs_.at(id);
   auto reply = client_.request(p.ctl_port, cmd);
   if (!reply) {
-    fail(a, "node " + std::to_string(id) + " unreachable for '" + cmd + "'");
+    fail("node " + std::to_string(id) + " unreachable for '" + cmd + "'");
     return;
   }
   if (reply->rfind("OK", 0) != 0) {
-    fail(a, "node " + std::to_string(id) + " rejected '" + cmd +
-            "': " + *reply);
+    fail("node " + std::to_string(id) + " rejected '" + cmd + "': " + *reply);
   }
 }
 
 void ProcessRunner::send_blocked_sets(const IdSet& touched) {
-  Action a;
-  a.kind = ActionKind::kSplitNetwork;
   for (NodeId id : touched) {
-    auto it = procs_.find(id);
-    if (it == procs_.end() || !it->second.alive || it->second.paused) continue;
-    control_or_fail(a, id, "BLOCK " + ctl::format_ids(blocked_[id]));
+    if (running(id)) {
+      control_or_fail(id, "BLOCK " + ctl::format_ids(blocked_[id]));
+    }
   }
 }
 
-void ProcessRunner::do_garbage(std::uint64_t per_node) {
+void ProcessRunner::garbage_channels(std::uint64_t per_node) {
   // OS-level channel garbage: raw junk datagrams straight at every node's
   // data socket — no cooperation from the daemon at all.
   const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
@@ -483,23 +488,12 @@ bool ProcessRunner::bootstrap() {
   for (auto& [id, p] : procs_) {
     (void)p;
     if (!collect_ports(id)) {
-      failed_ = true;
-      failure_ = "node " + std::to_string(id) + " failed to start";
+      fail("node " + std::to_string(id) + " failed to start");
       break;
     }
   }
   if (!failed_) write_cohort_peer_map();
   return !failed_;
-}
-
-IdSet ProcessRunner::routing_config() const {
-  if (converged_sampled()) {
-    for (const auto& [id, p] : procs_) {
-      (void)id;
-      if (p.alive && p.sampled) return p.cfg;
-    }
-  }
-  return alive_ids();
 }
 
 void ProcessRunner::settle(ScenarioResult& r) {
@@ -514,237 +508,88 @@ void ProcessRunner::settle(ScenarioResult& r) {
   }
 }
 
-void ProcessRunner::apply(const Action& a) {
-  switch (a.kind) {
-    case ActionKind::kAddNodes: {
-      registry_->unmark_stable();
-      for (std::uint64_t i = 0; i < a.n && !failed_; ++i) spawn_fresh_node();
-      return;
+void ProcessRunner::split(const IdSet& a, const IdSet& b) {
+  for (NodeId x : a) {
+    for (NodeId y : b) {
+      if (x == y) continue;
+      blocked_[x].insert(y);
+      blocked_[y].insert(x);
     }
-    case ActionKind::kCrash: {
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) kill_node(id);
-      return;
-    }
-    case ActionKind::kReboot: {
-      registry_->unmark_stable();
-      // Identifiers are never reused (paper, Section 2): a reboot is a
-      // crash-stop plus a fresh processor taking the slot.
-      for (NodeId id : a.targets) {
-        kill_node(id);
-        if (!failed_) spawn_fresh_node();
-      }
-      return;
-    }
-    case ActionKind::kSplitNetwork: {
-      registry_->unmark_stable();
-      for (NodeId x : a.targets) {
-        for (NodeId y : a.group_b) {
-          if (x == y) continue;
-          blocked_[x].insert(y);
-          blocked_[y].insert(x);
-        }
-      }
-      IdSet touched = a.targets;
-      for (NodeId y : a.group_b) touched.insert(y);
-      send_blocked_sets(touched);
-      return;
-    }
-    case ActionKind::kHealNetwork: {
-      IdSet touched;
-      for (auto& [id, set] : blocked_) {
-        if (!set.empty()) touched.insert(id);
-        set = IdSet{};
-      }
-      send_blocked_sets(touched);
-      return;
-    }
-    case ActionKind::kCorruptRecsa:
-      registry_->unmark_stable();
-      for (NodeId id : targets_or_alive(a)) {
-        control_or_fail(a, id, "CORRUPT recsa");
-      }
-      return;
-    case ActionKind::kCorruptFd:
-      registry_->unmark_stable();
-      for (NodeId id : targets_or_alive(a)) {
-        control_or_fail(a, id, "CORRUPT fd");
-      }
-      return;
-    case ActionKind::kSplitConfigState: {
-      registry_->unmark_stable();
-      // Mirrors harness::FaultInjector::split_config: the first half of the
-      // alive set (in id order) believes `targets`, the rest believe
-      // `group_b`.
-      const IdSet all = alive_ids();
-      std::size_t i = 0;
-      for (NodeId id : all) {
-        const bool first_half = i < all.size() / 2;
-        const IdSet& mine = first_half ? a.targets : a.group_b;
-        control_or_fail(a, id, "CONF " + ctl::format_ids(mine));
-        ++i;
-      }
-      return;
-    }
-    case ActionKind::kGarbageChannels:
-      registry_->unmark_stable();
-      do_garbage(a.n);
-      return;
-    case ActionKind::kPlantExhaustedCounter:
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) {
-        control_or_fail(a, id, "PLANT_CTR " + std::to_string(a.n));
-      }
-      return;
-    case ActionKind::kPlantRecmaFlags:
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) {
-        control_or_fail(a, id,
-                        std::string("RECMA ") + ((a.n & 1) ? "1" : "0") + " " +
-                            ((a.n & 2) ? "1" : "0"));
-      }
-      return;
-    case ActionKind::kIncrementBurst:
-      do_increment_burst(a);
-      return;
-    case ActionKind::kShmemWrite:
-      do_shmem(a, /*write=*/true);
-      return;
-    case ActionKind::kShmemRead:
-      do_shmem(a, /*write=*/false);
-      return;
-    case ActionKind::kRunFor: {
-      const SimTime deadline = budget_start() + scaled(a.duration);
-      while (now() < deadline && !failed_) {
-        sample();
-        step_sleep();
-      }
-      return;
-    }
-    case ActionKind::kAwaitConverged: {
-      if (!await(await_budget(a.duration),
-                 [&] { return converged_sampled(); })) {
-        if (!failed_) fail(a, "no convergence within the time budget");
-        return;
-      }
-      trace_.record(TraceKind::kConverged, kNoNode,
-                    digest_ids(procs_.at(*alive_ids().begin()).cfg));
-      return;
-    }
-    case ActionKind::kAwaitVsStable: {
-      if (!spec_.enable_vs) {
-        fail(a, "await_vs_stable needs enable_vs in the spec");
-        return;
-      }
-      if (!await(await_budget(a.duration), [&] { return vs_stable_now(); })) {
-        if (!failed_) fail(a, "VS layer did not stabilize");
-        return;
-      }
-      trace_.record(TraceKind::kVsStable, kNoNode);
-      return;
-    }
-    case ActionKind::kAwaitParticipants: {
-      auto all_part = [&] {
-        for (NodeId id : a.targets) {
-          auto it = procs_.find(id);
-          if (it == procs_.end() || !it->second.alive ||
-              !it->second.sampled || !it->second.participant) {
-            return false;
-          }
-        }
-        return true;
-      };
-      if (!await(await_budget(a.duration), all_part) && !failed_) {
-        fail(a, "targets were not admitted as participants");
-      }
-      return;
-    }
-    case ActionKind::kAwaitConfigEqualsAlive: {
-      auto caught_up = [&] {
-        const IdSet live = alive_ids();
-        for (NodeId id : live) {
-          const Proc& p = procs_.at(id);
-          if (!p.sampled || !p.cfg_proper || !(p.cfg == live)) return false;
-        }
-        return !live.empty();
-      };
-      if (!await(await_budget(a.duration), caught_up) && !failed_) {
-        fail(a, "configuration did not catch up with the alive set");
-      }
-      return;
-    }
-    case ActionKind::kMarkStable: {
-      // Take a fresh sample of *every* node first, so changes that happened
-      // before the window opened are not attributed into it. A transiently
-      // unresponsive daemon (busy lap, loopback drop) gets retried — one
-      // missed node here would turn into a spurious closure violation at
-      // its next successful sample.
-      for (int lap = 0; lap < 20 && !sample() && !failed_; ++lap) {
-        step_sleep();
-      }
-      registry_->mark_stable();
-      trace_.record(TraceKind::kStableMarked, kNoNode);
-      return;
-    }
-    case ActionKind::kCrashAll: {
-      registry_->unmark_stable();
-      for (NodeId id : alive_ids()) kill_node(id);
-      return;
-    }
-    case ActionKind::kAwaitQuiescent: {
-      if (!alive_ids().empty()) {
-        registry_->report("silence", false,
-                          "await_quiescent requires every node crashed first");
-        return;
-      }
-      // Process-level quiescence is an OS triviality (the processes are
-      // gone); the event-level drain check is a simulator property. Record
-      // the teardown point so traces stay comparable.
-      trace_.record(TraceKind::kQuiescent, kNoNode, 1);
-      return;
-    }
-    case ActionKind::kPauseNodes: {
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) {
-        auto it = procs_.find(id);
-        if (it == procs_.end() || !it->second.alive) continue;
-        // Harvest first: a stopped process cannot answer OPS, and it may
-        // be SIGKILLed before ever resuming.
-        harvest_ops_from(id, it->second);
-        ::kill(it->second.pid, SIGSTOP);
-        it->second.paused = true;
-        trace_.record(TraceKind::kNodePaused, id);
-      }
-      return;
-    }
-    case ActionKind::kResumeNodes: {
-      for (NodeId id : a.targets) {
-        auto it = procs_.find(id);
-        if (it == procs_.end() || !it->second.alive || !it->second.paused) {
-          continue;
-        }
-        ::kill(it->second.pid, SIGCONT);
-        it->second.paused = false;
-        trace_.record(TraceKind::kNodeResumed, id);
-        // Peer-filter updates (splits/heals) that happened while the node
-        // was stopped were never delivered; reinstall the current set.
-        control_or_fail(a, id, "BLOCK " + ctl::format_ids(blocked_[id]));
-        // And sample immediately, so state from before the pause cannot be
-        // attributed into a closure window opened later.
-        sample_node(id, it->second);
-      }
-      return;
-    }
+  }
+  IdSet touched = a;
+  for (NodeId y : b) touched.insert(y);
+  send_blocked_sets(touched);
+}
+
+void ProcessRunner::heal() {
+  IdSet touched;
+  for (auto& [id, set] : blocked_) {
+    if (!set.empty()) touched.insert(id);
+    set = IdSet{};
+  }
+  send_blocked_sets(touched);
+}
+
+void ProcessRunner::inject(const Action& a, NodeId id) {
+  control_or_fail(id, std::string("FAULT ") + to_string(a.kind) + " " +
+                          std::to_string(a.n));
+}
+
+void ProcessRunner::plant_config(NodeId id, const IdSet& ids) {
+  control_or_fail(id, "CONF " + ctl::format_ids(ids));
+}
+
+void ProcessRunner::run_for(SimTime d) {
+  const SimTime deadline = budget_start() + scaled(d);
+  while (now() < deadline && !failed_) {
+    sample();
+    step_sleep();
   }
 }
 
-void ProcessRunner::do_increment_burst(const Action& a) {
-  const IdSet clients = targets_or_alive(a);
+bool ProcessRunner::await(SimTime d, const std::function<bool()>& pred) {
+  const SimTime deadline = budget_start() + await_budget(d);
+  for (;;) {
+    sample();
+    if (failed_) return false;
+    if (pred()) return true;
+    if (now() >= deadline) return pred();
+    step_sleep();
+  }
+}
+
+bool ProcessRunner::pause_node(NodeId id) {
+  Proc* p = running(id);
+  if (p == nullptr) return false;
+  // Harvest first: a stopped process cannot answer OPS, and it may be
+  // SIGKILLed before ever resuming.
+  harvest_ops_from(id, *p);
+  ::kill(p->pid, SIGSTOP);
+  p->paused = true;
+  return true;
+}
+
+bool ProcessRunner::resume_node(NodeId id) {
+  auto it = procs_.find(id);
+  if (it == procs_.end() || !it->second.alive || !it->second.paused) {
+    return false;
+  }
+  ::kill(it->second.pid, SIGCONT);
+  it->second.paused = false;
+  // Peer-filter updates (splits/heals) that happened while the node was
+  // stopped were never delivered; reinstall the current set.
+  control_or_fail(id, "BLOCK " + ctl::format_ids(blocked_[id]));
+  // And sample immediately, so state from before the pause cannot be
+  // attributed into a closure window opened later.
+  sample_node(id, it->second);
+  return true;
+}
+
+void ProcessRunner::increment_burst(const Action& a) {
   IdSet queued;
-  for (NodeId id : clients) {
-    auto it = procs_.find(id);
-    if (it == procs_.end() || !it->second.alive || it->second.paused) continue;
-    control_or_fail(a, id, "INC " + std::to_string(a.n));
+  for (NodeId id : targets_or_alive(a)) {
+    if (!running(id)) continue;
+    control_or_fail(id, "INC " + std::to_string(a.n));
     if (failed_) return;
     queued.insert(id);
   }
@@ -752,8 +597,7 @@ void ProcessRunner::do_increment_burst(const Action& a) {
   // abort and retry through reconfigurations. Remaining queue depth at the
   // deadline is not a scenario failure — exactly like the simulator's
   // bounded-attempt bursts — it only means fewer ops feed the order check.
-  const SimTime budget = await_budget(120 * kSec * (a.n == 0 ? 1 : a.n));
-  await(budget, [&] {
+  await(120 * kSec * (a.n == 0 ? 1 : a.n), [&] {
     for (NodeId id : queued) {
       const Proc& p = procs_.at(id);
       if (p.alive && !p.paused && (!p.sampled || p.incq != 0)) return false;
@@ -763,7 +607,7 @@ void ProcessRunner::do_increment_burst(const Action& a) {
   harvest_ops();
 }
 
-void ProcessRunner::do_shmem(const Action& a, bool write) {
+void ProcessRunner::shmem_ops(const Action& a, bool write) {
   std::string cmd;
   if (write) {
     cmd = "SHMEMW " + a.reg + " " + std::to_string(a.n);
@@ -772,13 +616,12 @@ void ProcessRunner::do_shmem(const Action& a, bool write) {
   }
   IdSet queued;
   for (NodeId id : targets_or_alive(a)) {
-    auto it = procs_.find(id);
-    if (it == procs_.end() || !it->second.alive || it->second.paused) continue;
-    control_or_fail(a, id, cmd);
+    if (!running(id)) continue;
+    control_or_fail(id, cmd);
     if (failed_) return;
     queued.insert(id);
   }
-  await(await_budget(160 * kSec), [&] {
+  await(160 * kSec, [&] {
     for (NodeId id : queued) {
       const Proc& p = procs_.at(id);
       if (p.alive && !p.paused && (!p.sampled || p.shmq != 0)) return false;

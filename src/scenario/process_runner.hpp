@@ -2,16 +2,16 @@
 
 // Process execution backend for the scenario engine (POSIX only).
 //
-// Takes the same ScenarioSpec the simulator consumes and runs it against
-// real ssr_node daemons on localhost UDP — one OS process per node — with
-// the fault script implemented in OS primitives:
+// The same interpreter as the simulator (ScenarioBackend::apply) runs the
+// spec against real ssr_node daemons on localhost UDP — one OS process per
+// node. This file supplies only the fleet primitives, in OS terms:
 //
 //   crash / reboot      SIGKILL (+ a fresh process for the replacement id)
 //   pause / resume      SIGSTOP / SIGCONT
 //   partition / heal    per-node peer filters installed over the control
 //                       socket (UdpTransport::set_blocked on each side)
 //   channel garbage     raw junk datagrams fired at every node's data port
-//   state corruption    CORRUPT/CONF/PLANT_CTR/RECMA control commands
+//   state corruption    FAULT/CONF control commands
 //   workload            INC/SHMEMW/SHMEMR control commands
 //
 // Node state is sampled over the control socket into the same TraceRecorder
@@ -64,8 +64,9 @@ struct ProcessBackendOptions {
   std::uint32_t shard = 0;
 };
 
-/// ScenarioBackend over real processes. One runner instance runs one spec
-/// once; the destructor reaps every child it spawned.
+/// The process fleet: ScenarioBackend's primitives over real ssr_node
+/// processes. One runner instance runs one spec once; the destructor reaps
+/// every child it spawned.
 class ProcessRunner final : public ScenarioBackend {
  public:
   ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt);
@@ -84,12 +85,7 @@ class ProcessRunner final : public ScenarioBackend {
   /// waitpid: an unexpected exit fails the scenario. Returns true when
   /// every polled node answered this round.
   bool sample() override;
-  /// Every alive node reports noReco and the same proper configuration in
-  /// its latest sample.
-  bool converged_sampled() const override;
   IdSet alive_ids() const override;
-  /// Over the latest samples (no new sampling).
-  IdSet routing_config() const override;
 
  private:
   struct Proc {
@@ -132,45 +128,45 @@ class ProcessRunner final : public ScenarioBackend {
   SimTime scaled(SimTime sim_duration) const;
   SimTime await_budget(SimTime sim_duration) const;
 
-  NodeId spawn_fresh_node();
   void spawn(NodeId id, const std::string& peers_path);
-  void kill_node(NodeId id);
   void write_cohort_peer_map();
   bool collect_ports(NodeId id);
-
-  /// World::vs_stable over the latest samples: converged, and every alive
-  /// participant multicasting in one common non-null view with one
-  /// coordinator.
-  bool vs_stable_now() const;
 
   bool sample_node(NodeId id, Proc& p);
   /// Pulls completed operations from every alive node into the
   /// counter-order monitor (incremental; safe to call repeatedly).
   void harvest_ops();
   void harvest_ops_from(NodeId id, Proc& p);
-
-  /// Sleeps in sampling steps until `pred` holds or `budget` elapses.
-  template <class Pred>
-  bool await(SimTime budget, Pred pred) {
-    const SimTime deadline = budget_start() + budget;
-    for (;;) {
-      sample();
-      if (failed_) return false;
-      if (pred()) return true;
-      if (now() >= deadline) return pred();
-      step_sleep();
-    }
-  }
+  /// The node's process when it is alive and not stopped, else null.
+  Proc* running(NodeId id);
 
   void step_sleep() const;
   void send_blocked_sets(const IdSet& touched);
-  void control_or_fail(const Action& a, NodeId id, const std::string& cmd);
+  void control_or_fail(NodeId id, const std::string& cmd);
 
-  void apply(const Action& a) override;
+  // Fleet primitives: OS processes, signals and control commands. Await
+  // budgets are the spec's durations scaled, with a floor.
+  NodeId add_node() override;
+  bool crash_node(NodeId id) override;
+  bool pause_node(NodeId id) override;
+  bool resume_node(NodeId id) override;
+  void split(const IdSet& a, const IdSet& b) override;
+  void heal() override;
+  void inject(const Action& a, NodeId id) override;
+  void plant_config(NodeId id, const IdSet& ids) override;
+  void garbage_channels(std::uint64_t per_node) override;
+  void increment_burst(const Action& a) override;
+  void shmem_ops(const Action& a, bool write) override;
+  void run_for(SimTime d) override;
+  bool await(SimTime d, const std::function<bool()>& pred) override;
+  /// Process-level quiescence is an OS triviality (the processes are
+  /// gone); the event-level drain check is a simulator property.
+  bool drained(SimTime) override { return true; }
+  /// Over the latest samples (no new sampling).
+  std::optional<IdSet> common_config() const override;
+  bool participant(NodeId id) const override;
+  bool vs_stable() const override;
   void settle(ScenarioResult& r) override;
-  void do_increment_burst(const Action& a);
-  void do_shmem(const Action& a, bool write);
-  void do_garbage(std::uint64_t per_node);
 
   ProcessBackendOptions opt_;
   std::string dir_;

@@ -1,33 +1,6 @@
 #include "scenario/runner.hpp"
 
 namespace ssr::scenario {
-namespace {
-
-// The "replace on any suspected member" prediction policy.
-reconf::RecMA::EvalConf aggressive_eval(node::Node& n) {
-  return [&n](const IdSet& cfg) {
-    return cfg.intersection_size(n.failure_detector().trusted()) < cfg.size();
-  };
-}
-
-// Wraps `base` with the joiner-adoption term: also advise reconfiguration
-// while some trusted recSA participant is outside the configuration. Both
-// stock policies count only *suspected members*, so a cohort whose churn
-// never touches a config member (joins, or crashes of other joiners) keeps
-// its configuration frozen — estab(participants()) only ever piggybacks on
-// an eviction trigger. Opt-in (ScenarioSpec::adopt_joiners) so the pinned
-// default-policy traces stay byte-identical.
-reconf::RecMA::EvalConf with_adoption(node::Node& n,
-                                      reconf::RecMA::EvalConf base) {
-  return [&n, base = std::move(base)](const IdSet& cfg) {
-    if (base(cfg)) return true;
-    const IdSet admitted =
-        n.recsa().participants().intersect(n.failure_detector().trusted());
-    return !admitted.subset_of(cfg);
-  };
-}
-
-}  // namespace
 
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec, std::uint64_t seed)
     : ScenarioBackend(std::move(spec), seed) {
@@ -48,30 +21,45 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec, std::uint64_t seed)
 }
 
 bool ScenarioRunner::bootstrap() {
-  for (std::size_t i = 0; i < spec_.initial_nodes; ++i) add_fresh_node();
+  for (std::size_t i = 0; i < spec_.initial_nodes; ++i) add_node();
   return true;
 }
 
-NodeId ScenarioRunner::add_fresh_node() {
+NodeId ScenarioRunner::add_node() {
   const NodeId id = next_id_++;
   node::Node& n = world_->add_node(id);
-  if (spec_.aggressive_policy || spec_.adopt_joiners) {
-    reconf::RecMA::EvalConf eval =
-        spec_.aggressive_policy
-            ? aggressive_eval(n)
-            : node::quarter_failed_policy(n.failure_detector());
-    if (spec_.adopt_joiners) eval = with_adoption(n, std::move(eval));
-    n.set_eval_conf(std::move(eval));
-  }
+  node::select_policy(n, spec_.aggressive_policy, spec_.adopt_joiners);
   trace_.attach_node(*world_, id);
   registry_->attach_node(id);
   trace_.record(TraceKind::kNodeAdded, id);
   return id;
 }
 
-IdSet ScenarioRunner::routing_config() const {
-  const auto common = world_->common_config();
-  return common ? *common : world_->alive();
+// The closest fabric analog of SIGSTOP: a stopped process takes no steps
+// and answers nothing, so from its peers' point of view it is unreachable
+// until resumed.
+bool ScenarioRunner::pause_node(NodeId id) {
+  world_->network().isolate(id);
+  paused_.insert(id);
+  return true;
+}
+
+bool ScenarioRunner::resume_node(NodeId id) {
+  world_->network().rejoin(id);
+  paused_.erase(id);
+  return true;
+}
+
+void ScenarioRunner::inject(const Action& a, NodeId id) {
+  inject_node_fault(a, world_->node(id), injector_->rng(), world_->alive());
+}
+
+void ScenarioRunner::plant_config(NodeId id, const IdSet& ids) {
+  harness::FaultInjector::plant_config(world_->node(id), ids);
+}
+
+bool ScenarioRunner::participant(NodeId id) const {
+  return world_->has_node(id) && world_->node(id).recsa().is_participant();
 }
 
 bool ScenarioRunner::accepts_ops(NodeId id) const {
@@ -93,155 +81,7 @@ void ScenarioRunner::settle(ScenarioResult& r) {
       });
 }
 
-void ScenarioRunner::apply(const Action& a) {
-  switch (a.kind) {
-    case ActionKind::kAddNodes: {
-      registry_->unmark_stable();
-      for (std::uint64_t i = 0; i < a.n; ++i) add_fresh_node();
-      return;
-    }
-    case ActionKind::kCrash: {
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) {
-        world_->crash(id);
-        trace_.record(TraceKind::kNodeCrashed, id);
-      }
-      return;
-    }
-    case ActionKind::kReboot: {
-      registry_->unmark_stable();
-      // Identifiers are never reused (paper, Section 2): a reboot is a
-      // crash-stop plus a fresh processor taking the slot.
-      for (NodeId id : a.targets) {
-        world_->crash(id);
-        trace_.record(TraceKind::kNodeCrashed, id);
-        add_fresh_node();
-      }
-      return;
-    }
-    case ActionKind::kSplitNetwork:
-      registry_->unmark_stable();
-      world_->network().split(a.targets, a.group_b);
-      return;
-    case ActionKind::kHealNetwork:
-      world_->network().heal();
-      return;
-    case ActionKind::kCorruptRecsa:
-      registry_->unmark_stable();
-      for (NodeId id : targets_or_alive(a)) injector_->corrupt_recsa(id);
-      return;
-    case ActionKind::kCorruptFd:
-      registry_->unmark_stable();
-      for (NodeId id : targets_or_alive(a)) injector_->corrupt_fd(id);
-      return;
-    case ActionKind::kSplitConfigState:
-      registry_->unmark_stable();
-      injector_->split_config(a.targets, a.group_b);
-      return;
-    case ActionKind::kGarbageChannels:
-      registry_->unmark_stable();
-      injector_->fill_channels_with_garbage(a.n);
-      return;
-    case ActionKind::kPlantExhaustedCounter:
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) injector_->plant_exhausted_counter(id, a.n);
-      return;
-    case ActionKind::kPlantRecmaFlags:
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) {
-        injector_->plant_recma_flags(id, (a.n & 1) != 0, (a.n & 2) != 0);
-      }
-      return;
-    case ActionKind::kIncrementBurst:
-      do_increment_burst(a);
-      return;
-    case ActionKind::kShmemWrite:
-      do_shmem(a, /*write=*/true);
-      return;
-    case ActionKind::kShmemRead:
-      do_shmem(a, /*write=*/false);
-      return;
-    case ActionKind::kRunFor:
-      world_->run_for(a.duration);
-      return;
-    case ActionKind::kAwaitConverged: {
-      if (!await(a.duration, [&] { return world_->converged(); })) {
-        fail(a, "no convergence within the time budget");
-        return;
-      }
-      trace_.record(TraceKind::kConverged, kNoNode,
-                    digest_ids(*world_->common_config()));
-      return;
-    }
-    case ActionKind::kAwaitVsStable: {
-      if (!await(a.duration, [&] { return world_->vs_stable(); })) {
-        fail(a, "VS layer did not stabilize");
-        return;
-      }
-      trace_.record(TraceKind::kVsStable, kNoNode);
-      return;
-    }
-    case ActionKind::kAwaitParticipants: {
-      auto all_part = [&] {
-        for (NodeId id : a.targets) {
-          if (!world_->node(id).recsa().is_participant()) return false;
-        }
-        return true;
-      };
-      if (!await(a.duration, all_part)) {
-        fail(a, "targets were not admitted as participants");
-      }
-      return;
-    }
-    case ActionKind::kAwaitConfigEqualsAlive: {
-      auto caught_up = [&] {
-        auto c = world_->common_config();
-        return c && *c == world_->alive();
-      };
-      if (!await(a.duration, caught_up)) {
-        fail(a, "configuration did not catch up with the alive set");
-      }
-      return;
-    }
-    case ActionKind::kMarkStable:
-      registry_->mark_stable();
-      trace_.record(TraceKind::kStableMarked, kNoNode);
-      return;
-    case ActionKind::kCrashAll: {
-      registry_->unmark_stable();
-      for (NodeId id : world_->alive()) {
-        world_->crash(id);
-        trace_.record(TraceKind::kNodeCrashed, id);
-      }
-      return;
-    }
-    case ActionKind::kAwaitQuiescent:
-      do_await_quiescent(a);
-      return;
-    case ActionKind::kPauseNodes: {
-      // The closest fabric analog of SIGSTOP: a stopped process takes no
-      // steps and answers nothing, so from its peers' point of view it is
-      // unreachable until resumed.
-      registry_->unmark_stable();
-      for (NodeId id : a.targets) {
-        world_->network().isolate(id);
-        paused_.insert(id);
-        trace_.record(TraceKind::kNodePaused, id);
-      }
-      return;
-    }
-    case ActionKind::kResumeNodes: {
-      for (NodeId id : a.targets) {
-        world_->network().rejoin(id);
-        paused_.erase(id);
-        trace_.record(TraceKind::kNodeResumed, id);
-      }
-      return;
-    }
-  }
-}
-
-void ScenarioRunner::do_increment_burst(const Action& a) {
+void ScenarioRunner::increment_burst(const Action& a) {
   const IdSet clients = targets_or_alive(a);
   // Sequential ops create real-time-ordered pairs, which is exactly what the
   // counter-order invariant (Theorem 4.6) constrains.
@@ -255,7 +95,7 @@ void ScenarioRunner::do_increment_burst(const Action& a) {
       // retry a bounded number of times. Each attempt gets fresh state so a
       // late completion of a timed-out attempt never bleeds into the next.
       for (int attempt = 0; attempt < 12 && !completed; ++attempt) {
-        if (!await(30 * kSec, [&] { return !client.busy(); })) break;
+        if (!poll(30 * kSec, [&] { return !client.busy(); })) break;
         auto st = std::make_shared<PendingIncrement>();
         st->started = world_->scheduler().now();
         if (!client.begin([st](std::optional<counter::Counter> c) {
@@ -264,7 +104,7 @@ void ScenarioRunner::do_increment_burst(const Action& a) {
             })) {
           continue;
         }
-        await(120 * kSec, [&] { return st->done; }, 5 * kMsec);
+        poll(120 * kSec, [&] { return st->done; }, 5 * kMsec);
         if (st->done && st->got) {
           registry_->counter_order().record(
               st->started, world_->scheduler().now(), *st->got);
@@ -301,7 +141,7 @@ void ScenarioRunner::harvest_increments() {
   });
 }
 
-void ScenarioRunner::do_shmem(const Action& a, bool write) {
+void ScenarioRunner::shmem_ops(const Action& a, bool write) {
   // As with increments: the service stores the callback, and an operation
   // can outlive this function, so completion state is heap-held and
   // captured by value.
@@ -314,7 +154,7 @@ void ScenarioRunner::do_shmem(const Action& a, bool write) {
     auto& svc = world_->node(id).registers();
     bool succeeded = false;
     for (int attempt = 0; attempt < 12 && !succeeded; ++attempt) {
-      if (!await(30 * kSec, [&] { return !svc.busy(); })) break;
+      if (!poll(30 * kSec, [&] { return !svc.busy(); })) break;
       auto st = std::make_shared<OpState>();
       const SimTime op_started = world_->scheduler().now();
       bool begun;
@@ -337,7 +177,7 @@ void ScenarioRunner::do_shmem(const Action& a, bool write) {
         });
       }
       if (!begun) continue;
-      await(160 * kSec, [&] { return st->done; }, 5 * kMsec);
+      poll(160 * kSec, [&] { return st->done; }, 5 * kMsec);
       succeeded = st->done && st->ok;
       if (succeeded) {
         op_latency_.record(world_->scheduler().now() - op_started);
@@ -348,22 +188,13 @@ void ScenarioRunner::do_shmem(const Action& a, bool write) {
   }
 }
 
-void ScenarioRunner::do_await_quiescent(const Action& a) {
-  if (!world_->alive().empty()) {
-    registry_->report("silence", false,
-                      "await_quiescent requires every node crashed first");
-    return;
-  }
+bool ScenarioRunner::drained(SimTime d) {
   auto& sched = world_->scheduler();
-  const SimTime deadline = sched.now() + a.duration;
+  const SimTime deadline = sched.now() + d;
   while (sched.now() < deadline && !sched.empty()) {
     world_->run_for(10 * kMsec);
   }
-  const bool drained = sched.empty();
-  registry_->report("silence", drained,
-                    "scheduler still holds live events after every node "
-                    "crashed (silent stabilization violated)");
-  trace_.record(TraceKind::kQuiescent, kNoNode, drained ? 1 : 0);
+  return sched.empty();
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {

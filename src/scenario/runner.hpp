@@ -13,9 +13,10 @@
 
 namespace ssr::scenario {
 
-/// Interprets a ScenarioSpec against a fresh World on the deterministic
-/// scheduler. One (spec, seed) pair names exactly one execution: the same
-/// pair always produces a byte-identical trace (and therefore hash).
+/// The simulator fleet: ScenarioBackend's primitives over a fresh World on
+/// the deterministic scheduler. One (spec, seed) pair names exactly one
+/// execution: the same pair always produces a byte-identical trace (and
+/// therefore hash).
 class ScenarioRunner final : public ScenarioBackend {
  public:
   ScenarioRunner(ScenarioSpec spec, std::uint64_t seed);
@@ -24,22 +25,47 @@ class ScenarioRunner final : public ScenarioBackend {
   bool bootstrap() override;
   /// Nothing to poll: the world is observed directly.
   bool sample() override { return true; }
-  bool converged_sampled() const override { return world_->converged(); }
   IdSet alive_ids() const override { return world_->alive(); }
-  IdSet routing_config() const override;
 
   harness::World& world() { return *world_; }
 
  private:
-  void apply(const Action& a) override;
+  NodeId add_node() override;
+  bool crash_node(NodeId id) override {
+    world_->crash(id);
+    return true;
+  }
+  bool pause_node(NodeId id) override;
+  bool resume_node(NodeId id) override;
+  void split(const IdSet& a, const IdSet& b) override {
+    world_->network().split(a, b);
+  }
+  void heal() override { world_->network().heal(); }
+  void inject(const Action& a, NodeId id) override;
+  void plant_config(NodeId id, const IdSet& ids) override;
+  void garbage_channels(std::uint64_t per_channel) override {
+    injector_->fill_channels_with_garbage(per_channel);
+  }
+  void increment_burst(const Action& a) override;
+  void shmem_ops(const Action& a, bool write) override;
+  void run_for(SimTime d) override { world_->run_for(d); }
+  bool await(SimTime d, const std::function<bool()>& pred) override {
+    return poll(d, pred);
+  }
+  bool drained(SimTime d) override;
+  std::optional<IdSet> common_config() const override {
+    return world_->common_config();
+  }
+  bool participant(NodeId id) const override;
+  bool vs_stable() const override { return world_->vs_stable(); }
   void settle(ScenarioResult& r) override;
-  NodeId add_fresh_node();
+
   /// Alive and not paused: a stopped process takes no commands.
   bool accepts_ops(NodeId id) const;
 
   /// Runs until `pred` holds, polling every `step`; true iff met in time.
   template <class Pred>
-  bool await(SimTime timeout, Pred pred, SimTime step = 20 * kMsec) {
+  bool poll(SimTime timeout, Pred pred, SimTime step = 20 * kMsec) {
     const SimTime deadline = world_->scheduler().now() + timeout;
     while (world_->scheduler().now() < deadline) {
       if (pred()) return true;
@@ -48,9 +74,6 @@ class ScenarioRunner final : public ScenarioBackend {
     return pred();
   }
 
-  void do_increment_burst(const Action& a);
-  void do_shmem(const Action& a, bool write);
-  void do_await_quiescent(const Action& a);
   void harvest_increments();
 
   /// Completion state of one increment attempt. Heap-held and captured by

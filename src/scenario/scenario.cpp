@@ -1,5 +1,7 @@
 #include "scenario/scenario.hpp"
 
+#include "harness/fault_injector.hpp"
+
 namespace ssr::scenario {
 
 const char* to_string(ActionKind k) {
@@ -204,6 +206,28 @@ Action Action::resume_nodes(IdSet targets) {
   a.kind = ActionKind::kResumeNodes;
   a.targets = std::move(targets);
   return a;
+}
+
+bool inject_node_fault(const Action& a, node::Node& n, Rng& rng,
+                       const IdSet& ids) {
+  using harness::FaultInjector;
+  switch (a.kind) {
+    case ActionKind::kCorruptRecsa:
+      FaultInjector::corrupt_recsa(n, rng, ids);
+      return true;
+    case ActionKind::kCorruptFd:
+      FaultInjector::corrupt_fd(n, rng);
+      return true;
+    case ActionKind::kPlantExhaustedCounter:
+      FaultInjector::plant_exhausted_counter(n, rng, a.n);
+      return true;
+    case ActionKind::kPlantRecmaFlags:
+      FaultInjector::plant_recma_flags(n, ids, (a.n & 1) != 0,
+                                       (a.n & 2) != 0);
+      return true;
+    default:
+      return false;
+  }
 }
 
 }  // namespace ssr::scenario

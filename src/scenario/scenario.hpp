@@ -6,11 +6,18 @@
 #include "util/id_set.hpp"
 #include "util/types.hpp"
 
+namespace ssr {
+class Rng;
+}
+namespace ssr::node {
+class Node;
+}
+
 namespace ssr::scenario {
 
 /// One step of a scenario script. Actions are plain data so a spec can be
-/// printed, hashed and replayed; the ScenarioRunner interprets them against
-/// a harness::World on the deterministic scheduler.
+/// printed, hashed and replayed; ScenarioBackend::apply interprets them, on
+/// the simulator (ScenarioRunner) or on real processes (ProcessRunner).
 enum class ActionKind : std::uint8_t {
   kAddNodes = 1,      ///< n: nodes to add (fresh sequential ids)
   kCrash,             ///< targets: crash-stop these nodes
@@ -76,6 +83,14 @@ struct Action {
   static Action pause_nodes(IdSet targets);
   static Action resume_nodes(IdSet targets);
 };
+
+/// Applies a per-node state fault — corrupt_recsa, corrupt_fd,
+/// plant_exhausted_counter (n = seqn) or plant_recma_flags (n = flag bits) —
+/// to `n`, drawing from `rng`; `ids` is the id universe its state is
+/// corrupted against. False (and nothing done) for any other kind. The
+/// simulator and ssr_node's FAULT command both go through here.
+bool inject_node_fault(const Action& a, node::Node& n, Rng& rng,
+                       const IdSet& ids);
 
 struct Phase {
   std::string name;

@@ -31,9 +31,11 @@ TEST(ScenarioLibrary, NamesAreUnique) {
 // through net::Transport, and SimTransport must be a pure pass-through —
 // neither the RNG draw order nor the event order may shift. These hashes
 // were recorded with `scenario_runner --all --seed 7` on the
-// pre-abstraction fabric (nodes holding net::Network& directly); any drift
-// means a refactor changed an execution byte. A scenario absent from the
-// table (i.e. added later) only skips the pin, not the run.
+// pre-abstraction fabric (nodes holding net::Network& directly); the last
+// six (crash-respawn onward) were recorded the same way just before the
+// action interpreter moved into ScenarioBackend. Any drift means a refactor
+// changed an execution byte. A scenario absent from the table (i.e. added
+// later) only skips the pin, not the run.
 std::optional<std::uint64_t> golden_hash(const std::string& name) {
   static const std::map<std::string, std::uint64_t> kGolden = {
       {"bootstrap", 0xce2678749c4583c8ULL},
@@ -46,6 +48,12 @@ std::optional<std::uint64_t> golden_hash(const std::string& name) {
       {"silent-after-convergence", 0x7e9b5019c0999d93ULL},
       {"transient-blast", 0xdfcca4eecaffd454ULL},
       {"vs-workload", 0x2612b84b5b6b7f0dULL},
+      {"crash-respawn", 0x6d65ea7e7c1800cbULL},
+      {"stall-resume", 0x4457580b3c40a12eULL},
+      {"pause-through-heal", 0x773e6db904f54e86ULL},
+      {"joiner-adoption", 0xbb39866c5460c7d0ULL},
+      {"crash-then-stable", 0xace38b52b2fd91d3ULL},
+      {"adversarial-bitflips", 0xb677869a15c7dd2cULL},
   };
   auto it = kGolden.find(name);
   if (it == kGolden.end()) return std::nullopt;

@@ -2,7 +2,7 @@
 //
 //   ssr_node --id N --peers FILE [--seconds S] [--increments K]
 //            [--tick-us T] [--retransmit-us T] [--ack-threshold A] [--vs]
-//            [--seed R] [--aggressive] [--port-file FILE]
+//            [--seed R] [--aggressive] [--adopt-joiners] [--port-file FILE]
 //
 // FILE holds one "id host port" triple per line ('#' starts a comment);
 // the entry matching --id is the local bind address. Port 0 anywhere means
@@ -46,10 +46,12 @@
 #include <string>
 #include <vector>
 
-#include "label/label.hpp"
+#include "harness/fault_injector.hpp"
 #include "net/udp_transport.hpp"
 #include "node/node.hpp"
 #include "scenario/control.hpp"
+#include "scenario/scenario.hpp"
+#include "scenario/spec_io.hpp"
 #include "scenario/trace.hpp"
 #include "util/wallclock.hpp"
 
@@ -75,6 +77,7 @@ struct Options {
   std::size_t batch = 16;   // sendmmsg/recvmmsg ring depth (1 = unbatched)
   bool enable_vs = false;
   bool aggressive = false;
+  bool adopt_joiners = false;
 };
 
 int usage() {
@@ -83,8 +86,8 @@ int usage() {
                "                [--increments K=0] [--tick-us T=5000]\n"
                "                [--retransmit-us T=2000] [--ack-threshold A=3]"
                " [--vs]\n"
-               "                [--seed R] [--aggressive] [--port-file FILE]"
-               " [--batch N=16]\n");
+               "                [--seed R] [--aggressive] [--adopt-joiners]\n"
+               "                [--port-file FILE] [--batch N=16]\n");
   return 2;
 }
 
@@ -157,14 +160,7 @@ class Daemon {
     }
     node_ = std::make_unique<node::Node>(transport_, opt_.id, ncfg,
                                          rng_.fork());
-    if (opt_.aggressive) {
-      // Replace-on-any-suspect prediction policy (the scenario library's
-      // aggressive_policy flag).
-      node_->set_eval_conf([this](const IdSet& cfg) {
-        return cfg.intersection_size(
-                   node_->failure_detector().trusted()) < cfg.size();
-      });
-    }
+    node::select_policy(*node_, opt_.aggressive, opt_.adopt_joiners);
     node_->recsa().add_config_change_handler(
         [this](const reconf::ConfigValue&) { ++config_changes_; });
   }
@@ -433,38 +429,22 @@ class Daemon {
       shmem_queue_.emplace_back(false, a[0], 0);
       return "OK";
     }
-    if (req.cmd == "CORRUPT" && a.size() == 1) {
-      if (a[0] == "recsa") {
-        node_->recsa().inject_corruption(corrupt_rng_, all_ids_);
-        return "OK";
+    if (req.cmd == "FAULT" && a.size() == 2) {
+      const auto kind = scenario::action_kind_from_string(a[0]);
+      if (!kind) return "ERR unknown fault";
+      scenario::Action fault;
+      fault.kind = *kind;
+      fault.n = std::strtoull(a[1].c_str(), nullptr, 10);
+      if (!scenario::inject_node_fault(fault, *node_, corrupt_rng_,
+                                       all_ids_)) {
+        return "ERR not a per-node fault";
       }
-      if (a[0] == "fd") {
-        node_->failure_detector().inject_corruption(corrupt_rng_);
-        return "OK";
-      }
-      return "ERR unknown component";
+      return "OK";
     }
     if (req.cmd == "CONF" && a.size() == 1) {
       auto ids = ctl::parse_ids(a[0]);
       if (!ids) return "ERR bad id list";
-      node_->recsa().inject_config(opt_.id, reconf::ConfigValue::set(*ids));
-      return "OK";
-    }
-    if (req.cmd == "PLANT_CTR" && a.size() == 1) {
-      counter::Counter c;
-      c.lbl = label::Label::next_label(opt_.id, {}, corrupt_rng_);
-      c.seqn = std::strtoull(a[0].c_str(), nullptr, 10);
-      c.wid = opt_.id;
-      node_->counters().store().inject_max(opt_.id,
-                                           counter::CounterPair::of(c));
-      return "OK";
-    }
-    if (req.cmd == "RECMA" && a.size() == 2) {
-      const bool no_maj = a[0] == "1";
-      const bool need = a[1] == "1";
-      for (NodeId other : all_ids_) {
-        if (other != opt_.id) node_->recma().inject_flags(other, no_maj, need);
-      }
+      harness::FaultInjector::plant_config(*node_, *ids);
       return "OK";
     }
     return "ERR unknown command";
@@ -533,6 +513,8 @@ int main(int argc, char** argv) {
       opt.enable_vs = true;
     } else if (arg == "--aggressive") {
       opt.aggressive = true;
+    } else if (arg == "--adopt-joiners") {
+      opt.adopt_joiners = true;
     } else {
       return usage();
     }
