@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "shard/sharded_runner.hpp"
+
 namespace ssr::scenario {
 
 std::string ScenarioResult::summary() const {
@@ -16,9 +18,25 @@ std::string ScenarioResult::summary() const {
   if (net_syscalls > 0) {
     os << " syscalls=" << net_syscalls << " batched=" << net_batched;
   }
+  if (!shards.empty()) {
+    os << " shards=" << shards.size() << " attempted=" << ops_attempted;
+    if (ops_aborted_faulted != 0 || ops_aborted_healthy != 0) {
+      os << " aborted(faulted=" << ops_aborted_faulted
+         << " healthy=" << ops_aborted_healthy << ")";
+    }
+    if (ops_redirected != 0) os << " redirects=" << ops_redirected;
+  }
   if (!failure.empty()) os << " failure=\"" << failure << "\"";
   for (const auto& v : violations) {
     os << "\n  violation[" << v.invariant << "]: " << v.message;
+  }
+  // One indented block per shard.
+  for (const ScenarioResult& shard : shards) {
+    os << "\n  ";
+    for (char c : shard.summary()) {
+      os << c;
+      if (c == '\n') os << "  ";
+    }
   }
   return os.str();
 }
@@ -171,6 +189,11 @@ void ScenarioBackend::apply(const Action& a) {
       registry_->mark_stable();
       trace_.record(TraceKind::kStableMarked, kNoNode);
       return;
+    case ActionKind::kWorkload:
+    case ActionKind::kGrowMap:
+      // Keyed routing spans shards; shard::ShardedRunner interprets these.
+      fail("needs a sharded spec (shards > 1)");
+      return;
     case ActionKind::kAwaitQuiescent: {
       if (!alive_ids().empty()) {
         registry_->report("silence", false,
@@ -213,6 +236,24 @@ void ScenarioBackend::fail(const std::string& detail) {
   failure_ = applying_ == nullptr
                  ? detail
                  : std::string(to_string(applying_->kind)) + ": " + detail;
+}
+
+ScenarioResult run_spec(const ScenarioSpec& spec, std::uint64_t seed,
+                        const BackendFactory& make_backend,
+                        const std::function<void(ScenarioBackend&)>& inspect) {
+  if (spec.shards > 1) {
+    shard::ShardedRunner runner(spec, seed, make_backend);
+    ScenarioResult r = runner.run();
+    if (inspect) {
+      for (const auto& shard : runner.backends()) inspect(*shard);
+    }
+    return r;
+  }
+  const std::unique_ptr<ScenarioBackend> backend =
+      make_backend(spec, seed, 0);
+  ScenarioResult r = backend->run();
+  if (inspect) inspect(*backend);
+  return r;
 }
 
 }  // namespace ssr::scenario

@@ -63,6 +63,17 @@ struct ScenarioResult {
   std::uint64_t net_batched = 0;
   std::vector<InvariantRegistry::Violation> violations;
 
+  /// Sharded runs only: each shard's result, in shard order, and the
+  /// router's ledger (aborts split by whether the op's shard was paused).
+  /// Above, ops_completed counts routed ops, trace_events/sim_time/
+  /// op_latency sum, max and merge the shards', trace_hash folds theirs;
+  /// the other counters stay per shard.
+  std::vector<ScenarioResult> shards;
+  std::uint64_t ops_attempted = 0;
+  std::uint64_t ops_aborted_faulted = 0;
+  std::uint64_t ops_aborted_healthy = 0;
+  std::uint64_t ops_redirected = 0;
+
   std::string summary() const;
 };
 
@@ -80,8 +91,9 @@ struct ScenarioResult {
 /// runs under either harness with the same meaning.
 ///
 /// A run has three stages, exposed so a driver owning several backends
-/// (shard::ShardedRunner) can interleave their scripts: run() is exactly
-/// bootstrap(), then every phase action through step(), then finish().
+/// (shard::ShardedRunner, one backend per shard of a sharded spec) can
+/// interleave their scripts: run() is exactly bootstrap(), then every phase
+/// action through step(), then finish().
 class ScenarioBackend {
  public:
   virtual ~ScenarioBackend() = default;
@@ -189,5 +201,18 @@ class ScenarioBackend {
   /// The action step() is applying (null outside a step).
   const Action* applying_ = nullptr;
 };
+
+/// Builds the backend for one single-group run. `shard_tag` is nonzero for
+/// one shard of a sharded spec; process fleets stamp it into each envelope.
+using BackendFactory = std::function<std::unique_ptr<ScenarioBackend>(
+    const ScenarioSpec& spec, std::uint64_t seed, std::uint32_t shard_tag)>;
+
+/// The one choice of runner: shards > 1 runs shard::ShardedRunner over one
+/// backend per shard, else make_backend(spec)->run(). `inspect`, when set,
+/// sees every backend after its finish(), before it is destroyed.
+ScenarioResult run_spec(
+    const ScenarioSpec& spec, std::uint64_t seed,
+    const BackendFactory& make_backend,
+    const std::function<void(ScenarioBackend&)>& inspect = nullptr);
 
 }  // namespace ssr::scenario

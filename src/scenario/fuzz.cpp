@@ -105,14 +105,19 @@ void emit_pause(Rng& rng, const Model& m, std::vector<Action>& out) {
   out.push_back(A::resume_nodes(frozen));
 }
 
-/// Splices fault actions out of a random library spec, retargeted onto the
-/// model's alive set. Only state-corruption kinds survive the splice: churn
-/// and await kinds would invalidate the model or demand the donor's timing.
+/// Splices fault actions out of a random single-group library spec,
+/// retargeted onto the model's alive set. Only state-corruption kinds
+/// survive the splice: churn and await kinds would invalidate the model or
+/// demand the donor's timing. Sharded specs are no donors, so appending one
+/// to the library renumbers no fuzz case.
 void emit_splice(Rng& rng, const Model& m, std::vector<Action>& out) {
-  const std::vector<ScenarioSpec>& lib = library();
-  if (lib.empty()) return;
+  std::vector<const ScenarioSpec*> donors;
+  for (const ScenarioSpec& s : library()) {
+    if (s.shards == 1) donors.push_back(&s);
+  }
+  if (donors.empty()) return;
   const ScenarioSpec& donor =
-      lib[static_cast<std::size_t>(rng.next_below(lib.size()))];
+      *donors[static_cast<std::size_t>(rng.next_below(donors.size()))];
   for (const Phase& phase : donor.phases) {
     for (const Action& a : phase.actions) {
       switch (a.kind) {
@@ -120,6 +125,7 @@ void emit_splice(Rng& rng, const Model& m, std::vector<Action>& out) {
         case ActionKind::kCorruptFd:
         case ActionKind::kPlantRecmaFlags: {
           Action copy = a;
+          copy.shard = Action::kAllShards;
           IdSet retargeted;
           for (std::size_t i = 0; i < copy.targets.size(); ++i) {
             retargeted.insert(m.pick(rng));

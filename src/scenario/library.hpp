@@ -8,8 +8,9 @@
 namespace ssr::scenario {
 
 /// The built-in scenario library: one named spec per execution shape the
-/// paper's theorems talk about. `tools/scenario_runner --list` surfaces
-/// these; tests and benches reference them by name.
+/// paper's theorems talk about, single-group specs first and the sharded
+/// ones (shards > 1) last. `tools/scenario_runner --list` surfaces these;
+/// tests and benches reference them by name.
 const std::vector<ScenarioSpec>& library();
 
 /// Looks a scenario up by name.

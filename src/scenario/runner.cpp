@@ -197,9 +197,14 @@ bool ScenarioRunner::drained(SimTime d) {
   return sched.empty();
 }
 
+std::unique_ptr<ScenarioBackend> make_sim_backend(const ScenarioSpec& spec,
+                                                  std::uint64_t seed,
+                                                  std::uint32_t /*shard_tag*/) {
+  return std::make_unique<ScenarioRunner>(spec, seed);
+}
+
 ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {
-  ScenarioRunner runner(spec, seed);
-  return runner.run();
+  return run_spec(spec, seed, make_sim_backend);
 }
 
 }  // namespace ssr::scenario

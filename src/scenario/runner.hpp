@@ -99,7 +99,13 @@ class ScenarioRunner final : public ScenarioBackend {
       outstanding_;
 };
 
-/// Convenience: build, run, and summarize in one call.
+/// The simulator's BackendFactory: a ScenarioRunner over a fresh World (one
+/// world needs no shard tag).
+std::unique_ptr<ScenarioBackend> make_sim_backend(const ScenarioSpec& spec,
+                                                  std::uint64_t seed,
+                                                  std::uint32_t shard_tag);
+
+/// Convenience: run_spec on the simulator, sharded specs included.
 ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed);
 
 }  // namespace ssr::scenario

@@ -30,6 +30,8 @@ const char* to_string(ActionKind k) {
     case ActionKind::kAwaitQuiescent: return "await_quiescent";
     case ActionKind::kPauseNodes: return "pause_nodes";
     case ActionKind::kResumeNodes: return "resume_nodes";
+    case ActionKind::kWorkload: return "workload";
+    case ActionKind::kGrowMap: return "grow_map";
   }
   return "unknown";
 }
@@ -205,6 +207,20 @@ Action Action::resume_nodes(IdSet targets) {
   Action a;
   a.kind = ActionKind::kResumeNodes;
   a.targets = std::move(targets);
+  return a;
+}
+
+Action Action::workload(std::uint64_t n, std::string key_prefix) {
+  Action a;
+  a.kind = ActionKind::kWorkload;
+  a.n = n;
+  a.reg = std::move(key_prefix);
+  return a;
+}
+
+Action Action::grow_map() {
+  Action a;
+  a.kind = ActionKind::kGrowMap;
   return a;
 }
 

@@ -18,6 +18,9 @@ namespace ssr::scenario {
 /// One step of a scenario script. Actions are plain data so a spec can be
 /// printed, hashed and replayed; ScenarioBackend::apply interprets them, on
 /// the simulator (ScenarioRunner) or on real processes (ProcessRunner).
+/// The last two kinds span shards: shard::ShardedRunner interprets them,
+/// and a single-group run fails on them at once. Kinds are numbered from 1
+/// with no gaps (spec_io walks them), so a new kind goes last.
 enum class ActionKind : std::uint8_t {
   kAddNodes = 1,      ///< n: nodes to add (fresh sequential ids)
   kCrash,             ///< targets: crash-stop these nodes
@@ -45,6 +48,8 @@ enum class ActionKind : std::uint8_t {
                       ///< backend; fabric isolation under the simulator — a
                       ///< stopped process is unreachable from the outside)
   kResumeNodes,       ///< targets: unfreeze (SIGCONT / fabric rejoin)
+  kWorkload,          ///< n keyed increments via the router, keys <reg>:<i>
+  kGrowMap,           ///< the router adopts its map grown by one shard
 };
 
 const char* to_string(ActionKind k);
@@ -56,6 +61,18 @@ struct Action {
   std::uint64_t n = 0;
   SimTime duration = 0;
   std::string reg;
+  /// The shard this action addresses in a sharded run; kAllShards means
+  /// every shard that is not paused. Single-group runs ignore it, and
+  /// digest_action does not hash it.
+  static constexpr std::uint32_t kAllShards = ~std::uint32_t{0};
+  std::uint32_t shard = kAllShards;
+
+  /// This action, addressed to shard `s` alone.
+  Action on_shard(std::uint32_t s) const {
+    Action a = *this;
+    a.shard = s;
+    return a;
+  }
 
   // -- Named constructors (keep scenario scripts readable) -------------------
   static Action add_nodes(std::uint64_t count);
@@ -82,6 +99,8 @@ struct Action {
   static Action await_quiescent(SimTime budget);
   static Action pause_nodes(IdSet targets);
   static Action resume_nodes(IdSet targets);
+  static Action workload(std::uint64_t n, std::string key_prefix);
+  static Action grow_map();
 };
 
 /// Applies a per-node state fault — corrupt_recsa, corrupt_fd,
@@ -104,7 +123,14 @@ struct Phase {
 struct ScenarioSpec {
   std::string name;
   std::string description;
+  /// Nodes per shard.
   std::size_t initial_nodes = 3;
+  /// Independent quorum groups, each a full stack behind one client router
+  /// (shard::ShardedRunner); 1 = one group, run by the backend directly.
+  std::uint32_t shards = 1;
+  /// Shards covered by the router's initial map; 0 = all of them. Below
+  /// `shards`, the tail fleets stay idle until kGrowMap routes keys there.
+  std::uint32_t initial_map_shards = 0;
   bool enable_vs = false;
   /// Replace-on-any-suspect prediction policy (default: quarter policy).
   bool aggressive_policy = false;

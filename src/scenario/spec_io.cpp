@@ -6,27 +6,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "shard/shard_map.hpp"
+
 namespace ssr::scenario {
 namespace {
 
 constexpr const char* kMagic = "ssrspec v1";
-
-/// Every ActionKind, for the name -> kind reverse map. Kept in enum order;
-/// a kind missing here would fail the spec_io round-trip test.
-constexpr ActionKind kAllKinds[] = {
-    ActionKind::kAddNodes,       ActionKind::kCrash,
-    ActionKind::kReboot,         ActionKind::kSplitNetwork,
-    ActionKind::kHealNetwork,    ActionKind::kCorruptRecsa,
-    ActionKind::kCorruptFd,      ActionKind::kSplitConfigState,
-    ActionKind::kGarbageChannels, ActionKind::kPlantExhaustedCounter,
-    ActionKind::kPlantRecmaFlags, ActionKind::kIncrementBurst,
-    ActionKind::kShmemWrite,     ActionKind::kShmemRead,
-    ActionKind::kRunFor,         ActionKind::kAwaitConverged,
-    ActionKind::kAwaitVsStable,  ActionKind::kAwaitParticipants,
-    ActionKind::kAwaitConfigEqualsAlive, ActionKind::kMarkStable,
-    ActionKind::kCrashAll,       ActionKind::kAwaitQuiescent,
-    ActionKind::kPauseNodes,     ActionKind::kResumeNodes,
-};
 
 void write_ids(std::ostream& os, const IdSet& ids) {
   bool first = true;
@@ -60,6 +45,36 @@ bool parse_u64(const std::string& s, std::uint64_t& out) {
   char* end = nullptr;
   out = std::strtoull(s.c_str(), &end, 10);
   return *end == '\0';
+}
+
+bool parse_u32(const std::string& s, std::uint32_t& out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, v) || v > UINT32_MAX) return false;
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+/// Whether some runner can execute `spec` (see load_spec).
+bool runnable(const ScenarioSpec& spec) {
+  if (spec.name.empty() || spec.initial_nodes == 0 || spec.shards == 0 ||
+      spec.shards > shard::ShardMap::kSlots ||
+      spec.initial_map_shards > spec.shards) {
+    return false;
+  }
+  // Every kGrowMap routes keys to one more fleet, which must exist (so a
+  // single-group spec can grow no map).
+  std::uint32_t map_shards =
+      spec.initial_map_shards == 0 ? spec.shards : spec.initial_map_shards;
+  for (const Phase& phase : spec.phases) {
+    for (const Action& a : phase.actions) {
+      if ((a.shard != Action::kAllShards && a.shard >= spec.shards) ||
+          (spec.shards == 1 && a.kind == ActionKind::kWorkload) ||
+          (a.kind == ActionKind::kGrowMap && ++map_shards > spec.shards)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 bool parse_bool(const std::string& s, bool& out) {
@@ -108,8 +123,11 @@ bool take_field(std::string& rest, const char* name, std::string& value) {
 }  // namespace
 
 std::optional<ActionKind> action_kind_from_string(const std::string& name) {
-  for (ActionKind k : kAllKinds) {
-    if (name == to_string(k)) return k;
+  // Kinds are numbered 1..kGrowMap with no gaps.
+  for (int k = 1; k <= static_cast<int>(ActionKind::kGrowMap); ++k) {
+    if (name == to_string(static_cast<ActionKind>(k))) {
+      return static_cast<ActionKind>(k);
+    }
   }
   return std::nullopt;
 }
@@ -127,6 +145,10 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec) {
   os << "corrupt_prob " << prob << '\n';
   os << "exhaust_bound " << spec.exhaust_bound << '\n';
   os << "adversarial " << (spec.adversarial ? 1 : 0) << '\n';
+  if (spec.shards != 1) os << "shards " << spec.shards << '\n';
+  if (spec.initial_map_shards != 0) {
+    os << "map_shards " << spec.initial_map_shards << '\n';
+  }
   for (const Phase& phase : spec.phases) {
     os << "phase " << phase.name << '\n';
     for (const Action& a : phase.actions) {
@@ -134,8 +156,9 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec) {
       write_ids(os, a.targets);
       os << " group=";
       write_ids(os, a.group_b);
-      os << " n=" << a.n << " duration=" << a.duration << " reg=" << a.reg
-         << '\n';
+      os << " n=" << a.n << " duration=" << a.duration;
+      if (a.shard != Action::kAllShards) os << " shard=" << a.shard;
+      os << " reg=" << a.reg << '\n';
     }
   }
   os << "end\n";
@@ -181,6 +204,10 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       if (!parse_u64(rest, spec.exhaust_bound)) return std::nullopt;
     } else if (key == "adversarial") {
       if (!parse_bool(rest, spec.adversarial)) return std::nullopt;
+    } else if (key == "shards") {
+      if (!parse_u32(rest, spec.shards)) return std::nullopt;
+    } else if (key == "map_shards") {
+      if (!parse_u32(rest, spec.initial_map_shards)) return std::nullopt;
     } else if (key == "phase") {
       spec.phases.push_back(Phase{rest, {}});
       phase = &spec.phases.back();
@@ -207,6 +234,9 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
         return std::nullopt;
       }
       a.duration = static_cast<SimTime>(dur);
+      if (take_field(rest, "shard", field) && !parse_u32(field, a.shard)) {
+        return std::nullopt;
+      }
       // reg= runs to the end of the line.
       const std::string tag = "reg=";
       if (rest.rfind(tag, 0) != 0) return std::nullopt;
@@ -218,9 +248,7 @@ std::optional<ScenarioSpec> load_spec(std::istream& is) {
       return std::nullopt;
     }
   }
-  if (!ended || spec.name.empty() || spec.initial_nodes == 0) {
-    return std::nullopt;
-  }
+  if (!ended || !runnable(spec)) return std::nullopt;
   return spec;
 }
 

@@ -12,20 +12,25 @@ namespace ssr::scenario {
 /// counterexamples are shrunk to a minimal spec and saved with save_spec;
 /// `scenario_runner --spec FILE` (and the CI artifact flow) reproduce them
 /// with load_spec. The rendering is canonical — field order fixed, every
-/// field always present — so two equal specs serialize byte-identically
-/// (the fuzzer determinism test compares renderings directly).
+/// field present except the shard fields, written only when not at their
+/// defaults — so two equal specs serialize byte-identically (the fuzzer
+/// determinism test compares renderings directly).
 ///
 ///   ssrspec v1
 ///   name <token>
 ///   description <rest of line>
-///   nodes <N>
+///   nodes <N>                    (per shard)
 ///   vs <0|1>
 ///   aggressive <0|1>
+///   adopt_joiners <0|1>
 ///   corrupt_prob <%.17g double>
 ///   exhaust_bound <u64>
 ///   adversarial <0|1>
+///   shards <K>                   (only when K != 1)
+///   map_shards <M>               (only when M != 0; 0 = all K)
 ///   phase <rest of line>
-///   action <kind> targets=1,2 group=3,4 n=<u64> duration=<u64> reg=<rest>
+///   action <kind> targets=1,2 group=3,4 n=<u64> duration=<u64> [shard=<s>]
+///          reg=<rest of line>    (one line; shard= only when addressed)
 ///   ...
 ///   end
 void save_spec(std::ostream& os, const ScenarioSpec& spec);
@@ -33,7 +38,10 @@ void save_spec(std::ostream& os, const ScenarioSpec& spec);
 /// Convenience: the canonical rendering as a string (what save_spec emits).
 std::string spec_to_string(const ScenarioSpec& spec);
 
-/// Parses the save_spec format; nullopt on any malformed or unknown line.
+/// Parses the save_spec format; nullopt on any malformed or unknown line
+/// and on a spec no runner can execute: shards outside 1..ShardMap::kSlots,
+/// map_shards > shards, a map grown past `shards`, a shard target
+/// >= shards, or a workload in a single-group spec.
 std::optional<ScenarioSpec> load_spec(std::istream& is);
 
 /// File-path convenience wrappers. save returns false when the file cannot

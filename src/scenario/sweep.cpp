@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -24,8 +25,8 @@
 // fully rewritten before being read), and the C++ heap (thread-safe, and
 // allocation addresses never feed the trace). The remaining shared state in
 // the library was audited for this engine and consists only of immutable
-// function-local statics initialized on first use — scenario::library(),
-// shard::sharded_library(), RecSA's kBottom / kEmptyEcho sentinels and the
+// function-local statics initialized on first use — scenario::library()
+// (sharded specs included), RecSA's kBottom / kEmptyEcho sentinels and the
 // Router's kEmpty set — which C++ guarantees thread-safe to initialize and
 // which no code path mutates afterwards. There is no global RNG: every
 // random draw forks from the World's seed. Keep it that way; a new mutable
@@ -79,19 +80,21 @@ void SweepRunner::add_seed_range(const ScenarioSpec& spec, std::uint64_t first,
 
 ScenarioResult SweepRunner::run_job(const SweepJob& job,
                                     std::size_t index) const {
-  // Fully isolated world: constructed, run, and destroyed inside the job.
-  ScenarioRunner runner(job.spec, job.seed);
-  ScenarioResult r = runner.run();
-  if (!opt_.record_dir.empty()) {
-    // The submission index makes the path unique per job by construction;
-    // no two concurrent jobs can collide even on duplicate (spec, seed).
-    std::ostringstream path;
-    path << opt_.record_dir << "/" << index << "-" << job.spec.name << "-seed"
-         << job.seed << ".trace";
-    std::ofstream out(path.str());
-    if (out) runner.trace().save(out);
+  // Fully isolated worlds: constructed, run, and destroyed inside the job.
+  std::function<void(ScenarioBackend&)> record;
+  if (!opt_.record_dir.empty() && job.spec.shards == 1) {
+    record = [&](ScenarioBackend& backend) {
+      // The submission index makes the path unique per job by
+      // construction; no two concurrent jobs can collide even on duplicate
+      // (spec, seed).
+      std::ostringstream path;
+      path << opt_.record_dir << "/" << index << "-" << job.spec.name
+           << "-seed" << job.seed << ".trace";
+      std::ofstream out(path.str());
+      if (out) backend.trace().save(out);
+    };
   }
-  return r;
+  return run_spec(job.spec, job.seed, make_sim_backend, record);
 }
 
 void SweepRunner::work() {

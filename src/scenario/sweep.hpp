@@ -22,13 +22,14 @@ struct SweepJob {
 
 struct SweepOptions {
   /// Worker threads (clamped to >= 1). Each worker runs whole jobs, each in
-  /// a fully isolated World + ScenarioRunner; nothing below the harvest
+  /// fully isolated Worlds (one per shard); nothing below the harvest
   /// queue is shared, so --jobs=N is byte-identical to --jobs=1.
   std::size_t jobs = 1;
   /// When non-empty: one trace file per job is written here, named
   /// "<index>-<scenario>-seed<seed>.trace". The submission index prefixes
   /// the name so no two jobs can ever collide on a path, even if the same
-  /// (spec, seed) pair is submitted twice.
+  /// (spec, seed) pair is submitted twice. Sharded jobs (shards > 1)
+  /// record nothing: their K traces make no one stream.
   std::string record_dir;
 };
 
@@ -58,7 +59,7 @@ struct SweepSummary {
 ///    wire::BufferPool and the TraceRecorder segment pool are thread-local
 ///    (recycled memory is rewritten before it is read), and the repo keeps
 ///    no mutable globals in the node stack (the only function-local statics
-///    are the const scenario/shard libraries and const sentinels — audited,
+///    are the const scenario library and const sentinels — audited,
 ///    see DESIGN note in sweep.cpp). Hence a parallel sweep produces
 ///    byte-identical per-job trace hashes to a serial one.
 ///  * Harvest. Workers publish finished results into a mutex-guarded queue

@@ -143,6 +143,8 @@ class TraceRecorder {
 std::uint64_t digest_ids(const IdSet& ids);
 std::uint64_t digest_name(const std::string& s);
 /// Every parameter of an action (kind excluded: it is recorded alongside).
+/// The shard target is left out too: a shard's trace is the same stream
+/// whichever way the step was addressed to it.
 std::uint64_t digest_action(const Action& a);
 
 }  // namespace ssr::scenario

@@ -1,21 +1,28 @@
 #include "shard/sharded_runner.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 #include "util/wallclock.hpp"
 
 namespace ssr::shard {
 
-ShardedRunner::ShardedRunner(ShardedSpec spec, std::uint64_t seed,
-                             const BackendFactory& make_backend)
+ShardedRunner::ShardedRunner(scenario::ScenarioSpec spec, std::uint64_t seed,
+                             const scenario::BackendFactory& make_backend)
     : spec_(std::move(spec)),
-      router_(ShardMap::uniform(spec_.map_shards())),
+      router_(ShardMap::uniform(spec_.initial_map_shards == 0
+                                    ? spec_.shards
+                                    : spec_.initial_map_shards)),
       paused_(spec_.shards, false) {
   result_.name = spec_.name;
   result_.seed = seed;
+  // Every shard runs the parent spec's stack options on its own fleet.
+  scenario::ScenarioSpec fleet = spec_;
+  fleet.shards = 1;
+  fleet.initial_map_shards = 0;
+  fleet.phases.clear();
   for (std::uint32_t s = 0; s < spec_.shards; ++s) {
-    scenario::ScenarioSpec fleet;
     fleet.name = spec_.name + "/shard" + std::to_string(s);
-    fleet.initial_nodes = spec_.nodes_per_shard;
     // A distinct, seed-derived stream per shard keeps the shards
     // statistically independent while the whole run replays from one seed.
     // Tags start at 1: 0 is the untagged default, and a fleet must never
@@ -40,69 +47,86 @@ void ShardedRunner::check_shards() {
 void ShardedRunner::adopt_pending_grow() {
   if (!pending_grow_) return;
   pending_grow_ = false;
+  if (router_.map().shard_count() >= shards_.size()) {
+    // The grown map would route keys to a fleet that does not exist.
+    failed_ = true;
+    result_.failure = "grow_map: the map already spans every shard";
+    return;
+  }
   router_.adopt(router_.map().with_shard_added());
 }
 
-ShardedResult ShardedRunner::run() {
+scenario::ScenarioResult ShardedRunner::run() {
   // Bring every shard up front; process fleets then all run concurrently
   // in real time.
   for (auto& shard : shards_) {
     if (!shard->bootstrap()) break;
   }
   check_shards();
-  for (const ShardedStep& st : spec_.steps) {
-    if (failed_) break;
-    apply(st);
-    check_shards();
+  for (const scenario::Phase& phase : spec_.phases) {
+    for (const scenario::Action& a : phase.actions) {
+      if (failed_) break;
+      apply(a);
+      check_shards();
+    }
   }
 
+  scenario::ScenarioResult& r = result_;
+  r.trace_hash = scenario::TraceRecorder::kFnvBasis;
   bool shards_ok = true;
   for (auto& shard : shards_) {
     scenario::ScenarioResult pr = shard->finish();
-    pr.seed = result_.seed;
+    pr.seed = r.seed;
     shards_ok = shards_ok && pr.ok;
-    if (!pr.ok && result_.failure.empty()) {
-      result_.failure = pr.name + ": " + pr.failure;
+    if (!pr.failure.empty() && r.failure.empty()) {
+      r.failure = pr.name + ": " + pr.failure;
     }
-    result_.per_shard.push_back(std::move(pr));
+    r.trace_hash = scenario::TraceRecorder::mix(r.trace_hash, pr.trace_hash);
+    r.trace_events += pr.trace_events;
+    r.sim_time = std::max(r.sim_time, pr.sim_time);
+    r.op_latency.merge(pr.op_latency);
+    r.shards.push_back(std::move(pr));
   }
+  r.op_p50_us = r.op_latency.percentile(50);
+  r.op_p99_us = r.op_latency.percentile(99);
   // The cross-shard isolation invariant: an op may give up only when its
-  // own shard was faulted; any abort on a healthy shard fails the run.
-  if (result_.ops_aborted_healthy != 0 && result_.failure.empty()) {
-    result_.failure = std::to_string(result_.ops_aborted_healthy) +
-                      " op(s) aborted on healthy shards (isolation violated)";
+  // own shard was faulted.
+  if (r.ops_aborted_healthy != 0) {
+    r.violations.push_back(
+        {"shard-isolation", std::to_string(r.ops_aborted_healthy) +
+                                " op(s) aborted on shards that were not "
+                                "faulted"});
   }
-  result_.ok = !failed_ && shards_ok && result_.ops_aborted_healthy == 0;
-  return result_;
+  r.ok = !failed_ && shards_ok && r.violations.empty();
+  return r;
 }
 
-void ShardedRunner::apply(const ShardedStep& st) {
+void ShardedRunner::apply(const scenario::Action& a) {
+  using scenario::ActionKind;
   // A queued map growth lands lazily inside the next workload; any other
-  // step materializes it up front.
-  switch (st.kind) {
-    case ShardedStep::Kind::kGrowMap:
-      pending_grow_ = true;
-      return;
-    case ShardedStep::Kind::kWorkload:
-      do_workload(st);
-      return;
-    case ShardedStep::Kind::kAction:
-      break;
+  // action materializes it up front.
+  if (a.kind == ActionKind::kGrowMap) {
+    pending_grow_ = true;
+    return;
+  }
+  if (a.kind == ActionKind::kWorkload) {
+    do_workload(a);
+    return;
   }
   adopt_pending_grow();
-  const scenario::ActionKind kind = st.action.kind;
-  if (st.shard != ShardedStep::kAllShards) {
-    SSR_ASSERT(st.shard < shards_.size(), "step addressed to no shard");
-    if (kind == scenario::ActionKind::kPauseNodes) paused_[st.shard] = true;
-    if (kind == scenario::ActionKind::kResumeNodes) paused_[st.shard] = false;
-    shards_[st.shard]->step(st.action);
+  if (failed_) return;
+  if (a.shard != scenario::Action::kAllShards) {
+    SSR_ASSERT(a.shard < shards_.size(), "action addressed to no shard");
+    if (a.kind == ActionKind::kPauseNodes) paused_[a.shard] = true;
+    if (a.kind == ActionKind::kResumeNodes) paused_[a.shard] = false;
+    shards_[a.shard]->step(a);
     return;
   }
   // One anchor for every shard: fleets running concurrently in real time
   // share one budget rather than paying it once per shard.
   const std::uint64_t anchor = steady_usec();
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (!paused_[s]) shards_[s]->step(st.action, anchor);
+    if (!paused_[s]) shards_[s]->step(a, anchor);
   }
 }
 
@@ -117,9 +141,9 @@ bool ShardedRunner::drive_attempt(ShardId s, NodeId target) {
   return shard.ops_completed() > before;
 }
 
-void ShardedRunner::do_workload(const ShardedStep& st) {
-  for (std::uint64_t i = 0; i < st.n && !failed_; ++i) {
-    Router::Op op = router_.begin(st.key_prefix + ":" + std::to_string(i));
+void ShardedRunner::do_workload(const scenario::Action& a) {
+  for (std::uint64_t i = 0; i < a.n && !failed_; ++i) {
+    Router::Op op = router_.begin(a.reg + ":" + std::to_string(i));
     bool completed = false;
     for (;;) {
       router_.note_config(op.shard, shards_[op.shard]->routing_config());
@@ -133,6 +157,7 @@ void ShardedRunner::do_workload(const ShardedStep& st) {
       // A failed attempt is when a queued epoch change becomes visible —
       // exactly the moment a real client would learn its map is stale.
       adopt_pending_grow();
+      if (failed_) break;
       const Router::Verdict v = router_.on_failure(op);
       if (v == Router::Verdict::kGiveUp) break;
       if (v == Router::Verdict::kRedirect) ++result_.ops_redirected;

@@ -221,6 +221,20 @@ TEST(ScenarioInterpreter, AwaitVsStableWithoutVsFailsAtOnce) {
   EXPECT_TRUE(fleet.log.empty());
 }
 
+// Keyed routing spans shards: a single group fails on it at once, before
+// touching the fleet.
+TEST(ScenarioInterpreter, ShardedKindsFailASingleGroupAtOnce) {
+  for (const Action& a : {Action::workload(5, "k"), Action::grow_map()}) {
+    RecordingFleet fleet(spec_of(3));
+    ASSERT_TRUE(fleet.bootstrap());
+    fleet.step(a);
+    EXPECT_TRUE(fleet.failed());
+    EXPECT_EQ(fleet.failure(), std::string(to_string(a.kind)) +
+                                   ": needs a sharded spec (shards > 1)");
+    EXPECT_TRUE(fleet.log.empty());
+  }
+}
+
 TEST(ScenarioInterpreter, AwaitsFailWithTheActionKind) {
   RecordingFleet fleet(spec_of(3));
   ASSERT_TRUE(fleet.bootstrap());

@@ -25,6 +25,8 @@ ScenarioSpec kitchen_sink() {
   s.corrupt_probability = 0.012345678901234567;
   s.exhaust_bound = 777;
   s.adversarial = true;
+  s.shards = 3;
+  s.initial_map_shards = 2;
   s.phases.push_back(Phase{
       "everything",
       {
@@ -52,6 +54,9 @@ ScenarioSpec kitchen_sink() {
           A::resume_nodes({3}),
           A::crash_all(),
           A::await_quiescent(30 * kSec),
+          A::workload(9, "keys"),
+          A::grow_map(),
+          A::crash({2}).on_shard(2),
       }});
   return s;
 }
@@ -72,6 +77,8 @@ TEST(SpecIo, RoundTripsEveryActionKind) {
   EXPECT_EQ(loaded->corrupt_probability, original.corrupt_probability);
   EXPECT_EQ(loaded->exhaust_bound, original.exhaust_bound);
   EXPECT_EQ(loaded->adversarial, original.adversarial);
+  EXPECT_EQ(loaded->shards, original.shards);
+  EXPECT_EQ(loaded->initial_map_shards, original.initial_map_shards);
   ASSERT_EQ(loaded->phases.size(), original.phases.size());
   for (std::size_t p = 0; p < original.phases.size(); ++p) {
     EXPECT_EQ(loaded->phases[p].name, original.phases[p].name);
@@ -85,6 +92,7 @@ TEST(SpecIo, RoundTripsEveryActionKind) {
       EXPECT_EQ(la[i].n, oa[i].n) << "action " << i;
       EXPECT_EQ(la[i].duration, oa[i].duration) << "action " << i;
       EXPECT_EQ(la[i].reg, oa[i].reg) << "action " << i;
+      EXPECT_EQ(la[i].shard, oa[i].shard) << "action " << i;
     }
   }
 
@@ -102,7 +110,7 @@ TEST(SpecIo, LibrarySpecsRoundTrip) {
 }
 
 TEST(SpecIo, ActionKindNamesRoundTrip) {
-  for (int k = 1; k <= static_cast<int>(ActionKind::kResumeNodes); ++k) {
+  for (int k = 1; k <= static_cast<int>(ActionKind::kGrowMap); ++k) {
     const auto kind = static_cast<ActionKind>(k);
     const auto parsed = action_kind_from_string(to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << to_string(kind);
@@ -136,6 +144,64 @@ TEST(SpecIo, RejectsMalformedInput) {
                       "reg=\n"
                       "end\n"));  // malformed id list
   EXPECT_FALSE(rejects(good));
+}
+
+// A file written before specs could be sharded has no shard lines and no
+// shard= fields: it loads as a single-group spec, and renders back to the
+// very same bytes.
+TEST(SpecIo, FileWithoutShardFieldsIsSingleGroup) {
+  const std::string text =
+      "ssrspec v1\nname old\ndescription d\nnodes 4\nvs 0\naggressive 0\n"
+      "adopt_joiners 0\ncorrupt_prob 0\nexhaust_bound 0\nadversarial 0\n"
+      "phase p\n"
+      "action crash targets=1 group= n=0 duration=0 reg=\n"
+      "end\n";
+  std::istringstream in(text);
+  const auto loaded = load_spec(in);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->shards, 1u);
+  EXPECT_EQ(loaded->initial_map_shards, 0u);
+  EXPECT_EQ(loaded->phases.at(0).actions.at(0).shard, Action::kAllShards);
+  EXPECT_EQ(spec_to_string(*loaded), text);
+}
+
+// Out-of-range shard fields are refused at the format boundary rather than
+// reaching a runner.
+TEST(SpecIo, RejectsSpecsNoRunnerCanExecute) {
+  const auto rejects = [](const std::string& text) {
+    std::istringstream in(text);
+    return !load_spec(in).has_value();
+  };
+  const std::string head = "ssrspec v1\nname x\nnodes 3\n";
+  const std::string crash_on_2 =
+      "phase p\naction crash targets=1 group= n=0 duration=0 shard=2 reg=\n";
+  EXPECT_FALSE(rejects(head + "shards 3\n" + crash_on_2 + "end\n"));
+  const std::string grow =
+      "action grow_map targets= group= n=0 duration=0 reg=\n";
+  const std::string workload =
+      "action workload targets= group= n=3 duration=0 reg=k\n";
+  EXPECT_FALSE(rejects(head + "shards 64\nend\n"));
+  EXPECT_FALSE(rejects(head + "shards 3\nmap_shards 2\nphase p\n" + grow +
+                       workload + "end\n"));
+
+  EXPECT_TRUE(rejects(head + "shards 0\nend\n"));
+  EXPECT_TRUE(rejects(head + "shards 2\nmap_shards 3\nend\n"));
+  EXPECT_TRUE(rejects(head + "shards 2\n" + crash_on_2 + "end\n"));
+  EXPECT_TRUE(rejects(head + crash_on_2 + "end\n"));  // single group
+  EXPECT_TRUE(rejects(head + "phase p\naction workload targets= group= n=3 "
+                             "duration=0 reg=k\nend\n"));
+  EXPECT_TRUE(rejects(head + "phase p\naction grow_map targets= group= n=0 "
+                             "duration=0 reg=\nend\n"));
+  EXPECT_TRUE(rejects(head + "shards 4294967296\nend\n"));
+  // More shards than the router's map has slots.
+  EXPECT_TRUE(rejects(head + "shards 65\nend\n"));
+  // A grown map would route keys to a fleet that does not exist.
+  EXPECT_TRUE(rejects(head + "shards 2\nphase p\n" + grow + workload +
+                      "end\n"));
+  EXPECT_TRUE(rejects(head + "shards 3\nmap_shards 2\nphase p\n" + grow +
+                      grow + workload + "end\n"));
+  EXPECT_TRUE(rejects(head + "shards 2\nphase p\naction crash targets=1 "
+                             "group= n=0 duration=0 shard=x reg=\nend\n"));
 }
 
 TEST(SpecIo, FileRoundTrip) {

@@ -10,6 +10,9 @@
 //                                          scheduling on the selected specs
 //   scenario_runner --trace K              also dump the first K trace events
 //
+// Sharded specs (shards > 1) take the same flags on either backend and
+// print one indented summary line (and --trace dump) per shard.
+//
 // Backend selection:
 //   --backend sim            deterministic in-process simulator (default)
 //   --backend process        one real ssr_node OS process per node over
@@ -19,7 +22,7 @@
 //   --work-dir DIR           scratch/log directory (default: mkdtemp)
 //   --keep-logs              keep the scratch directory even on success
 //
-// Trace tooling (simulator backend, single --run):
+// Trace tooling (simulator backend, exactly one single-group --run/--spec):
 //   --record FILE            save the trace event stream + hash to FILE
 //   --diff FILE              re-run and report the first event where the
 //                            current trace diverges from the recorded one
@@ -32,6 +35,7 @@
 //   --jobs N                 worker threads (default 1)
 //   --seeds A..B             inclusive seed range (default: --seed alone)
 //   --record-dir DIR         save one trace file per job into DIR
+//                            (sharded jobs record none)
 //
 // Exit status: 0 when every run met its awaits with zero invariant
 // violations (and, under --diff, the traces match), 1 otherwise (2 on
@@ -49,8 +53,6 @@
 #include "scenario/runner.hpp"
 #include "scenario/spec_io.hpp"
 #include "scenario/sweep.hpp"
-#include "shard/sharded_runner.hpp"
-#include "shard/sharded_scenario.hpp"
 #ifdef __unix__
 #include "scenario/process_runner.hpp"
 #endif
@@ -66,7 +68,6 @@ struct CliOptions {
   std::vector<std::string> names;
   std::vector<std::string> spec_files;
   bool adversary = false;
-  bool sharded = false;
   std::uint64_t seed = 1;
   std::size_t trace_lines = 0;
   std::string backend = "sim";
@@ -86,25 +87,20 @@ struct CliOptions {
 
 void list_scenarios() {
   for (const auto& s : library()) {
-    std::printf("%-26s %zu nodes%s  %s\n", s.name.c_str(), s.initial_nodes,
+    std::printf("%-26s ", s.name.c_str());
+    if (s.shards > 1) std::printf("%u x ", s.shards);
+    std::printf("%zu nodes%s  %s\n", s.initial_nodes,
                 s.enable_vs ? " +vs" : "    ", s.description.c_str());
   }
 }
 
-void list_sharded_scenarios() {
-  for (const auto& s : shard::sharded_library()) {
-    std::printf("%-26s %u shards x %zu nodes  %s\n", s.name.c_str(), s.shards,
-                s.nodes_per_shard, s.description.c_str());
-  }
-}
-
-/// The selected backend for one run of `spec`. `shard_tag` is nonzero for
-/// one shard of a sharded run. Only called once main() has checked the
-/// backend is available.
+/// The selected backend for one single-group run of `spec` (a whole spec,
+/// or one shard of a sharded one: see BackendFactory). Only called once
+/// main() has checked the backend is available.
 std::unique_ptr<ScenarioBackend> make_backend(const ScenarioSpec& spec,
                                               const CliOptions& cli,
                                               std::uint64_t seed,
-                                              std::uint32_t shard_tag = 0) {
+                                              std::uint32_t shard_tag) {
 #ifdef __unix__
   if (cli.backend == "process") {
     ProcessBackendOptions opt;
@@ -124,91 +120,92 @@ std::unique_ptr<ScenarioBackend> make_backend(const ScenarioSpec& spec,
   return std::make_unique<ScenarioRunner>(spec, seed);
 }
 
-/// Runs one sharded spec; prints the aggregate summary and one line per
-/// shard.
-bool run_one_sharded(const shard::ShardedSpec& spec, const CliOptions& cli) {
-  shard::ShardedRunner runner(
-      spec, cli.seed,
-      [&cli](const ScenarioSpec& fleet, std::uint64_t seed, std::uint32_t tag) {
-        return make_backend(fleet, cli, seed, tag);
-      });
-  const shard::ShardedResult r = runner.run();
-  std::printf("%s\n", r.summary().c_str());
-  for (const ScenarioResult& pr : r.per_shard) {
-    std::printf("  %s\n", pr.summary().c_str());
+/// Saves `trace` to `path`; appends the report line to `notes`.
+bool record_trace(const TraceRecorder& trace, const std::string& path,
+                  std::string& notes) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+    return false;
   }
-  return r.ok;
+  trace.save(out);
+  notes += "recorded " + std::to_string(trace.size()) + " events to " +
+           path + "\n";
+  return true;
 }
 
-/// Runs one spec; prints the summary (and, under the process backend, where
-/// the logs live when the run failed).
-bool run_one(const ScenarioSpec& spec, const CliOptions& cli) {
-  auto backend = make_backend(spec, cli, cli.seed);
-  const ScenarioResult r = backend->run();
-  std::printf("%s\n", r.summary().c_str());
-  if (cli.trace_lines > 0) {
-    std::printf("%s", backend->trace().dump(cli.trace_lines).c_str());
+/// Compares `current` with the trace recorded at `path`; appends the first
+/// divergence (or "identical") to `notes`. True iff the traces match.
+bool diff_trace(const TraceRecorder& current, const std::string& path,
+                std::string& notes) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
+    return false;
   }
-#ifdef __unix__
-  if (!r.ok && cli.backend == "process") {
-    auto* pr = dynamic_cast<ProcessRunner*>(backend.get());
-    if (pr != nullptr) {
-      std::printf("  logs kept in %s\n", pr->work_dir().c_str());
+  auto golden = TraceRecorder::load(in);
+  if (!golden) {
+    std::fprintf(stderr, "'%s' is not a recorded trace\n", path.c_str());
+    return false;
+  }
+  const std::size_t n = std::min(golden->size(), current.size());
+  std::size_t at = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceEvent& g = (*golden)[i];
+    const TraceEvent& c = current[i];
+    if (g.when != c.when || g.node != c.node || g.kind != c.kind ||
+        g.a != c.a || g.b != c.b) {
+      at = i;
+      break;
     }
   }
-#endif
+  if (at == n && golden->size() == current.size()) {
+    notes += "traces identical (" + std::to_string(current.size()) +
+             " events)\n";
+    return true;
+  }
+  notes += "traces diverge at event " + std::to_string(at);
+  if (at == n) {
+    notes += ": one stream ends (recorded " + std::to_string(golden->size()) +
+             " events, current " + std::to_string(current.size()) + ")\n";
+  } else {
+    notes += ":\n  recorded: " + TraceRecorder::format_event((*golden)[at]) +
+             "\n  current:  " + TraceRecorder::format_event(current[at]) +
+             "\n";
+  }
+  return false;
+}
 
-  bool ok = r.ok;
-  if (!cli.record_path.empty()) {
-    std::ofstream out(cli.record_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", cli.record_path.c_str());
-      return false;
-    }
-    backend->trace().save(out);
-    std::printf("recorded %zu events to %s\n", r.trace_events,
-                cli.record_path.c_str());
-  }
-  if (!cli.diff_path.empty()) {
-    std::ifstream in(cli.diff_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read '%s'\n", cli.diff_path.c_str());
-      return false;
-    }
-    auto golden = TraceRecorder::load(in);
-    if (!golden) {
-      std::fprintf(stderr, "'%s' is not a recorded trace\n",
-                   cli.diff_path.c_str());
-      return false;
-    }
-    const TraceRecorder& current = backend->trace();
-    const std::size_t n = std::min(golden->size(), current.size());
-    std::size_t at = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const TraceEvent& g = (*golden)[i];
-      const TraceEvent& c = current[i];
-      if (g.when != c.when || g.node != c.node || g.kind != c.kind ||
-          g.a != c.a || g.b != c.b) {
-        at = i;
-        break;
-      }
-    }
-    if (at == n && golden->size() == current.size()) {
-      std::printf("traces identical (%zu events)\n", current.size());
-    } else if (at == n) {
-      std::printf("traces diverge at event %zu: one stream ends "
-                  "(recorded %zu events, current %zu)\n",
-                  n, golden->size(), current.size());
-      ok = false;
-    } else {
-      std::printf("traces diverge at event %zu:\n  recorded: %s\n"
-                  "  current:  %s\n",
-                  at, TraceRecorder::format_event((*golden)[at]).c_str(),
-                  TraceRecorder::format_event(current[at]).c_str());
-      ok = false;
-    }
-  }
-  return ok;
+/// Runs one spec; prints the summary, then for every backend (one per
+/// shard of a sharded spec) what --trace/--record/--diff ask for and, when
+/// a process fleet failed, where its logs were kept.
+bool run_one(const ScenarioSpec& spec, const CliOptions& cli) {
+  bool ok = true;
+  std::string notes;
+  const ScenarioResult r = run_spec(
+      spec, cli.seed,
+      [&cli](const ScenarioSpec& s, std::uint64_t seed, std::uint32_t tag) {
+        return make_backend(s, cli, seed, tag);
+      },
+      [&](ScenarioBackend& backend) {
+        if (cli.trace_lines > 0) {
+          notes += backend.trace().dump(cli.trace_lines);
+        }
+#ifdef __unix__
+        const auto* pr = dynamic_cast<const ProcessRunner*>(&backend);
+        if (pr != nullptr && backend.failed()) {
+          notes += "  logs kept in " + pr->work_dir() + "\n";
+        }
+#endif
+        if (!cli.record_path.empty()) {
+          ok = record_trace(backend.trace(), cli.record_path, notes) && ok;
+        }
+        if (!cli.diff_path.empty()) {
+          ok = diff_trace(backend.trace(), cli.diff_path, notes) && ok;
+        }
+      });
+  std::printf("%s\n%s", r.summary().c_str(), notes.c_str());
+  return r.ok && ok;
 }
 
 ///// --sweep mode: the selected scenarios × the seed range as one job matrix
@@ -244,22 +241,54 @@ int usage() {
       "                    counterexamples are saved in)\n"
       "  --adversary       force worst-case delivery scheduling on every\n"
       "                    selected spec (sim backend)\n"
-      "  --sharded         use the multi-shard scenario library (K node\n"
-      "                    fleets + client-side router; both backends)\n"
       "  --seed N          runner seed (default 1)\n"
-      "  --trace K         dump the first K trace events\n"
+      "  --trace K         dump the first K trace events (per shard)\n"
       "  --backend B       sim (default) | process\n"
       "  --node-bin PATH   ssr_node binary (process backend)\n"
       "  --time-scale X    wall seconds per sim second (process backend)\n"
       "  --work-dir DIR    scratch/log dir (process backend)\n"
       "  --keep-logs       keep the scratch dir on success too\n"
-      "  --record FILE     save the trace stream (single --run)\n"
-      "  --diff FILE       compare against a recorded trace (single --run)\n"
+      "  --record FILE     save the trace stream (one single-group spec)\n"
+      "  --diff FILE       compare against a recorded trace (likewise)\n"
       "  --sweep           run scenarios x seeds on a worker pool (sim)\n"
       "  --jobs N          sweep worker threads (default 1)\n"
       "  --seeds A..B      inclusive sweep seed range (default: --seed)\n"
-      "  --record-dir DIR  save one trace file per sweep job into DIR\n");
+      "  --record-dir DIR  save one trace file per sweep job into DIR\n"
+      "                    (sharded jobs record none)\n"
+      "The library's sharded specs (--list shows K x N nodes) take the\n"
+      "same flags on either backend.\n");
   return 2;
+}
+
+/// The selected specs with --adversary applied: the library under --all,
+/// else every --run then every --spec. False, after saying why, on an
+/// unknown name or an unloadable file.
+bool select_specs(const CliOptions& cli, std::vector<ScenarioSpec>& specs) {
+  if (cli.all) {
+    specs = library();
+  } else {
+    for (const std::string& name : cli.names) {
+      auto spec = find_scenario(name);
+      if (!spec) {
+        std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
+                     name.c_str());
+        return false;
+      }
+      specs.push_back(*spec);
+    }
+    for (const std::string& path : cli.spec_files) {
+      auto spec = load_spec_file(path);
+      if (!spec) {
+        std::fprintf(stderr, "cannot load spec file '%s'\n", path.c_str());
+        return false;
+      }
+      specs.push_back(*spec);
+    }
+  }
+  if (cli.adversary) {
+    for (ScenarioSpec& spec : specs) spec.adversarial = true;
+  }
+  return true;
 }
 
 /// Parses "A..B" (inclusive) or a single "A" into [first, last].
@@ -304,8 +333,6 @@ int main(int argc, char** argv) {
       cli.list = true;
     } else if (arg == "--all") {
       cli.all = true;
-    } else if (arg == "--sharded") {
-      cli.sharded = true;
     } else if (arg == "--run" && i + 1 < nargs) {
       cli.names.push_back(args[++i]);
     } else if (arg == "--spec" && i + 1 < nargs) {
@@ -375,22 +402,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--adversary works on the sim backend only\n");
     return 2;
   }
-  if (cli.sharded && (cli.adversary || !cli.spec_files.empty())) {
-    std::fprintf(stderr, "--spec/--adversary do not apply to --sharded\n");
-    return 2;
-  }
   if ((!cli.record_path.empty() || !cli.diff_path.empty()) &&
       cli.backend != "sim") {
     // Process-backend timestamps are wall clock; a diff would always
     // diverge at event 0.
     std::fprintf(stderr,
                  "--record/--diff work on the deterministic sim backend\n");
-    return 2;
-  }
-  if (cli.sharded &&
-      (!cli.record_path.empty() || !cli.diff_path.empty())) {
-    // A sharded run has one trace per shard, not one recordable stream.
-    std::fprintf(stderr, "--record/--diff do not apply to --sharded runs\n");
     return 2;
   }
   if (cli.sweep) {
@@ -401,108 +418,37 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--sweep runs on the sim backend only\n");
       return 2;
     }
-    if (cli.sharded || !cli.record_path.empty() || !cli.diff_path.empty() ||
+    if (!cli.record_path.empty() || !cli.diff_path.empty() ||
         cli.trace_lines > 0) {
       std::fprintf(stderr,
-                   "--sweep does not combine with --sharded/--record/--diff/"
-                   "--trace (use --record-dir for per-job traces)\n");
+                   "--sweep does not combine with --record/--diff/--trace "
+                   "(use --record-dir for per-job traces)\n");
       return 2;
     }
-    if (!cli.all && cli.names.empty() && cli.spec_files.empty()) {
-      std::fprintf(stderr,
-                   "--sweep wants --all or at least one --run/--spec\n");
-      return 2;
-    }
-    std::vector<ScenarioSpec> specs;
-    if (cli.all) {
-      specs = library();
-    } else {
-      for (const std::string& name : cli.names) {
-        auto spec = find_scenario(name);
-        if (!spec) {
-          std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
-                       name.c_str());
-          return 2;
-        }
-        specs.push_back(*spec);
-      }
-      for (const std::string& path : cli.spec_files) {
-        auto spec = load_spec_file(path);
-        if (!spec) {
-          std::fprintf(stderr, "cannot load spec file '%s'\n", path.c_str());
-          return 2;
-        }
-        specs.push_back(*spec);
-      }
-    }
-    if (cli.adversary) {
-      for (ScenarioSpec& spec : specs) spec.adversarial = true;
-    }
-    return run_sweep_mode(specs, cli) ? 0 : 1;
-  }
-  if (cli.jobs > 1 || cli.seeds_set || !cli.record_dir.empty()) {
+  } else if (cli.jobs > 1 || cli.seeds_set || !cli.record_dir.empty()) {
     std::fprintf(stderr,
                  "--jobs/--seeds/--record-dir only apply to --sweep\n");
     return 2;
   }
 
   if (cli.list) {
-    if (cli.sharded) {
-      list_sharded_scenarios();
-    } else {
-      list_scenarios();
-    }
+    list_scenarios();
     return 0;
   }
-  if (cli.all) {
-    bool ok = true;
-    if (cli.sharded) {
-      for (const auto& s : shard::sharded_library()) {
-        ok = run_one_sharded(s, cli) && ok;
-      }
-    } else {
-      for (const auto& s : library()) {
-        ScenarioSpec spec = s;
-        if (cli.adversary) spec.adversarial = true;
-        ok = run_one(spec, cli) && ok;
-      }
-    }
-    return ok ? 0 : 1;
+  if (!cli.all && cli.names.empty() && cli.spec_files.empty()) {
+    return usage();
   }
-  if (!cli.names.empty() || !cli.spec_files.empty()) {
-    bool ok = true;
-    for (const std::string& path : cli.spec_files) {
-      auto spec = load_spec_file(path);
-      if (!spec) {
-        std::fprintf(stderr, "cannot load spec file '%s'\n", path.c_str());
-        return 2;
-      }
-      if (cli.adversary) spec->adversarial = true;
-      ok = run_one(*spec, cli) && ok;
-    }
-    for (const std::string& name : cli.names) {
-      if (cli.sharded) {
-        auto spec = shard::find_sharded_scenario(name);
-        if (!spec) {
-          std::fprintf(stderr,
-                       "unknown sharded scenario '%s' (try --sharded "
-                       "--list)\n",
-                       name.c_str());
-          return 2;
-        }
-        ok = run_one_sharded(*spec, cli) && ok;
-        continue;
-      }
-      auto spec = find_scenario(name);
-      if (!spec) {
-        std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
-                     name.c_str());
-        return 2;
-      }
-      if (cli.adversary) spec->adversarial = true;
-      ok = run_one(*spec, cli) && ok;
-    }
-    return ok ? 0 : 1;
+  std::vector<ScenarioSpec> specs;
+  if (!select_specs(cli, specs)) return 2;
+  if ((!cli.record_path.empty() || !cli.diff_path.empty()) &&
+      specs[0].shards > 1) {
+    // A sharded run has one trace per shard, not one recordable stream.
+    std::fprintf(stderr, "--record/--diff take a single-group spec; '%s' "
+                 "has %u shards\n", specs[0].name.c_str(), specs[0].shards);
+    return 2;
   }
-  return usage();
+  if (cli.sweep) return run_sweep_mode(specs, cli) ? 0 : 1;
+  bool ok = true;
+  for (const ScenarioSpec& spec : specs) ok = run_one(spec, cli) && ok;
+  return ok ? 0 : 1;
 }
