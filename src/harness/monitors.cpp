@@ -55,16 +55,21 @@ void VirtualSynchronyMonitor::attach_node(World& world, NodeId id) {
   n.vs()->add_deliver_handler(
       [this](const vs::View& v, std::uint64_t rnd,
              const std::vector<std::pair<NodeId, wire::Bytes>>& msgs) {
-        ++deliveries_;
-        const std::uint64_t d = digest_msgs(msgs);
-        for (const Key& k : keys_) {
-          if (k.view_id == v.id && k.rnd == rnd) {
-            if (k.digest != d) ++mismatches_;
-            return;
-          }
-        }
-        keys_.push_back(Key{v.id, rnd, d});
+        record(v, rnd, msgs);
       });
+}
+
+void VirtualSynchronyMonitor::record(
+    const vs::View& view, std::uint64_t rnd,
+    const std::vector<std::pair<NodeId, wire::Bytes>>& msgs) {
+  ++deliveries_;
+  const std::uint64_t d = digest_msgs(msgs);
+  const counter::Counter& c = view.id;
+  const auto [it, fresh] = digests_.try_emplace(
+      RoundKey{c.lbl.creator, c.lbl.sting, c.lbl.antistings, c.seqn, c.wid,
+               rnd},
+      d);
+  if (!fresh && it->second != d) ++mismatches_;
 }
 
 }  // namespace ssr::harness

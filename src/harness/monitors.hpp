@@ -1,6 +1,8 @@
 #pragma once
 
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/world.hpp"
@@ -63,25 +65,34 @@ class CounterOrderMonitor {
 /// processors that deliver a batch for the same (view id, round) deliver
 /// exactly the same messages, and replica digests never diverge at equal
 /// (view, round).
+///
+/// Keeps one batch digest per distinct (view id, round) delivered, in an
+/// ordered map: memory grows by one entry per round for the monitor's whole
+/// life (rounds_observed() of them), and each delivery costs O(log rounds).
 class VirtualSynchronyMonitor {
  public:
   void attach(World& world);
   void attach_node(World& world, NodeId id);
 
+  /// One delivery: the first batch seen at (view id, round) is the
+  /// reference; every later one that differs is a mismatch.
+  void record(const vs::View& view, std::uint64_t rnd,
+              const std::vector<std::pair<NodeId, wire::Bytes>>& msgs);
+
   std::size_t deliveries() const { return deliveries_; }
   std::size_t mismatches() const { return mismatches_; }
-  std::uint64_t rounds_observed() const { return keys_.size(); }
+  std::uint64_t rounds_observed() const { return digests_.size(); }
 
  private:
-  struct Key {
-    counter::Counter view_id;
-    std::uint64_t rnd;
-    std::uint64_t digest;
-  };
+  /// The view id's (label creator, sting, antistings, seqn, writer), then
+  /// the round: equivalent keys are exactly the equal ones.
+  using RoundKey =
+      std::tuple<NodeId, std::uint32_t, std::vector<std::uint32_t>,
+                 std::uint64_t, NodeId, std::uint64_t>;
   static std::uint64_t digest_msgs(
       const std::vector<std::pair<NodeId, wire::Bytes>>& msgs);
 
-  std::vector<Key> keys_;
+  std::map<RoundKey, std::uint64_t> digests_;
   std::size_t deliveries_ = 0;
   std::size_t mismatches_ = 0;
 };

@@ -3,6 +3,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "net/adversary.hpp"
 #include "net/sim_transport.hpp"
@@ -63,20 +65,41 @@ class World {
 
   // -- Convergence predicates (legal-execution detectors) --------------------
 
-  /// True when every alive node reports noReco() and the same proper
-  /// configuration — the conflict-free state of Theorem 3.15.
-  bool converged() const;
+  /// Node::status() of every alive node, in id order. The span is valid
+  /// until the next call.
+  std::span<const node::Status> statuses() const;
+  /// node::agreed_config() holds over statuses() — the conflict-free state
+  /// of Theorem 3.15.
+  bool converged() const { return common_config().has_value(); }
   /// The common configuration when converged.
-  std::optional<IdSet> common_config() const;
-  /// Runs until converged() holds (checked every `check_every`); returns
-  /// the virtual time spent, or nullopt on timeout.
+  std::optional<IdSet> common_config() const {
+    return node::agreed_config(statuses());
+  }
+  /// node::vs_stable() over statuses(): converged, and every alive
+  /// participant's VS layer multicasts in one view with one coordinator.
+  bool vs_stable() const { return node::vs_stable(statuses()); }
+
+  /// Runs until `pred()` holds, checked every `check_every`; returns the
+  /// virtual time spent, or nullopt when it still fails at `timeout`.
+  template <class Pred>
+  std::optional<SimTime> run_until(Pred pred, SimTime timeout,
+                                   SimTime check_every = 20 * kMsec) {
+    const SimTime start = sched_.now();
+    while (sched_.now() < start + timeout) {
+      if (pred()) return sched_.now() - start;
+      run_for(check_every);
+    }
+    if (!pred()) return std::nullopt;
+    return sched_.now() - start;
+  }
   std::optional<SimTime> run_until_converged(SimTime timeout,
-                                             SimTime check_every = 20 * kMsec);
-  /// True when every alive node's VS layer agrees on one installed view
-  /// containing a configuration majority, with a single coordinator.
-  bool vs_stable() const;
+                                             SimTime check_every = 20 * kMsec) {
+    return run_until([this] { return converged(); }, timeout, check_every);
+  }
   std::optional<SimTime> run_until_vs_stable(SimTime timeout,
-                                             SimTime check_every = 20 * kMsec);
+                                             SimTime check_every = 20 * kMsec) {
+    return run_until([this] { return vs_stable(); }, timeout, check_every);
+  }
 
  private:
   WorldConfig cfg_;
@@ -88,6 +111,9 @@ class World {
   std::unique_ptr<net::Adversary> adversary_;
   net::SimTransport transport_;
   std::map<NodeId, std::unique_ptr<node::Node>> nodes_;
+  /// statuses()'s buffer, refilled per call (polled every few ms: its
+  /// capacity is kept, so a poll does not allocate).
+  mutable std::vector<node::Status> statuses_;
 };
 
 }  // namespace ssr::harness

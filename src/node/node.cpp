@@ -90,6 +90,22 @@ void Node::set_eval_conf(reconf::RecMA::EvalConf fn) {
 }
 void Node::set_fetch(vs::VsSmr::FetchFn fn) { fetch_ = std::move(fn); }
 
+Status Node::status() const {
+  Status s;
+  s.id = id_;
+  s.noreco = recsa_.no_reco();
+  s.participant = recsa_.is_participant();
+  s.config = recsa_.get_config_ref();
+  s.advised = s.config.is_proper() && eval_conf_(s.config.ids());
+  if (vs_) {
+    const vs::View& view = vs_->view();
+    s.vs = Status::Vs{vs_->status() == vs::Status::kMulticast,
+                      view.is_null(), vs_->no_coordinator(),
+                      vs_->coordinator(), view.digest()};
+  }
+  return s;
+}
+
 void Node::start(const IdSet& seed_peers) {
   if (started_ || crashed_) return;
   started_ = true;

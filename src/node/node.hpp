@@ -5,6 +5,7 @@
 #include "counter/increment.hpp"
 #include "fd/theta_fd.hpp"
 #include "label/labeling.hpp"
+#include "node/status.hpp"
 #include "reconf/join.hpp"
 #include "reconf/recma.hpp"
 #include "shmem/register_service.hpp"
@@ -69,11 +70,10 @@ class Node {
   bool started() const { return started_; }
 
   NodeId id() const { return id_; }
-  /// True while the installed prediction policy advises reconfiguring the
-  /// current configuration. Harness convergence checks use it: agreement on
-  /// a config the policy is about to move is not a fixpoint (scenario_fuzz
-  /// found mark_stable racing a pending eviction through that gap).
-  bool reconfig_advised() { return eval_conf_(recsa_.get_config_ref().ids()); }
+  /// This processor's state as the legality predicates read it; `advised`
+  /// runs the installed prediction policy (scenario_fuzz found mark_stable
+  /// racing a pending eviction while agreement alone counted).
+  Status status() const;
   fd::ThetaFD& failure_detector() { return fd_; }
   dlink::LinkMux& mux() { return mux_; }
   reconf::RecSA& recsa() { return recsa_; }

@@ -145,34 +145,38 @@ void ScenarioBackend::apply(const Action& a) {
         return;
       }
       trace_.record(TraceKind::kConverged, kNoNode,
-                    digest_ids(*common_config()));
+                    digest_ids(*agreed_config()));
       return;
     case ActionKind::kAwaitVsStable:
       if (!spec_.enable_vs) {
         fail("await_vs_stable needs enable_vs in the spec");
         return;
       }
-      if (!await(a.duration, [this] { return vs_stable(); })) {
+      if (!await(a.duration,
+                 [this] { return node::vs_stable(statuses()); })) {
         fail("VS layer did not stabilize");
         return;
       }
       trace_.record(TraceKind::kVsStable, kNoNode);
       return;
     case ActionKind::kAwaitParticipants: {
-      auto all_part = [&] {
-        for (NodeId id : a.targets) {
-          if (!participant(id)) return false;
+      auto admitted = [&] {
+        std::size_t found = 0;
+        for (const node::Status& s : statuses()) {
+          if (!a.targets.contains(s.id)) continue;
+          if (!s.participant) return false;
+          ++found;
         }
-        return true;
+        return found == a.targets.size();
       };
-      if (!await(a.duration, all_part)) {
+      if (!await(a.duration, admitted)) {
         fail("targets were not admitted as participants");
       }
       return;
     }
     case ActionKind::kAwaitConfigEqualsAlive: {
       auto caught_up = [this] {
-        const auto c = common_config();
+        const auto c = agreed_config();
         return c && *c == alive_ids();
       };
       if (!await(a.duration, caught_up)) {

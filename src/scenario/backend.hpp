@@ -4,9 +4,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "node/status.hpp"
 #include "scenario/invariants.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
@@ -122,12 +124,12 @@ class ScenarioBackend {
   /// One observation round; true when every node answered.
   virtual bool sample() = 0;
   /// The converged() predicate over the latest observation.
-  bool converged_sampled() const { return common_config().has_value(); }
+  bool converged_sampled() const { return agreed_config().has_value(); }
   virtual IdSet alive_ids() const = 0;
   /// Latest believed membership for client routing: the common
   /// configuration when there is one, else the alive set.
   IdSet routing_config() const {
-    return common_config().value_or(alive_ids());
+    return agreed_config().value_or(alive_ids());
   }
 
   TraceRecorder& trace() { return trace_; }
@@ -164,13 +166,10 @@ class ScenarioBackend {
   virtual bool await(SimTime d, const std::function<bool()>& pred) = 0;
   /// With every node crashed: true when the fleet goes silent within `d`.
   virtual bool drained(SimTime d) = 0;
-  /// The common configuration when converged (every alive node reports
-  /// noReco and the same proper configuration), else nullopt.
-  virtual std::optional<IdSet> common_config() const = 0;
-  virtual bool participant(NodeId id) const = 0;
-  /// Converged, and every alive participant's VS layer multicasts in one
-  /// common non-null view with one coordinator.
-  virtual bool vs_stable() const = 0;
+  /// The latest status of every alive node, in id order (no new sampling).
+  /// A node that has not answered yet reports a default node::Status,
+  /// which satisfies no predicate. Valid until the next call.
+  virtual std::span<const node::Status> statuses() const = 0;
 
   /// Pulls in late completions and fills the backend-specific result
   /// fields; finish() adds the shared ones afterwards.
@@ -197,6 +196,9 @@ class ScenarioBackend {
  private:
   /// The scenario interpreter: one Action onto the fleet primitives.
   void apply(const Action& a);
+  std::optional<IdSet> agreed_config() const {
+    return node::agreed_config(statuses());
+  }
 
   /// The action step() is applying (null outside a step).
   const Action* applying_ = nullptr;

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <sstream>
 
@@ -89,6 +90,74 @@ std::map<std::string, std::string> parse_kv(const std::string& payload) {
     out[tok.substr(0, eq)] = tok.substr(eq + 1);
   }
   return out;
+}
+
+std::optional<std::uint64_t> parse_u64(
+    const std::map<std::string, std::string>& kv, const std::string& key,
+    std::uint64_t max) {
+  auto it = kv.find(key);
+  if (it == kv.end()) return std::nullopt;
+  const std::string& v = it->second;
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+    return std::nullopt;
+  }
+  errno = 0;
+  const std::uint64_t n = std::strtoull(v.c_str(), nullptr, 10);
+  if (errno == ERANGE || n > max) return std::nullopt;
+  return n;
+}
+
+std::string format_status(const node::Status& s) {
+  const reconf::ConfigValue& c = s.config;
+  std::ostringstream os;
+  os << "id=" << s.id << " noreco=" << s.noreco << " part=" << s.participant
+     << " advised=" << s.advised << " cfgtag=" << static_cast<int>(c.tag())
+     << " cfg=" << (c.is_set() ? format_ids(c.ids()) : "-");
+  if (s.vs) {
+    os << " vsmc=" << s.vs->multicast << " vsnull=" << s.vs->null_view
+       << " vsnocrd=" << s.vs->no_coordinator
+       << " vscrd=" << s.vs->coordinator << " vsview=" << s.vs->view;
+  }
+  return os.str();
+}
+
+std::optional<node::Status> parse_status(
+    const std::map<std::string, std::string>& kv) {
+  using Tag = reconf::ConfigValue::Tag;
+  bool ok = true;
+  const auto num = [&](const char* key, std::uint64_t max) {
+    const auto v = parse_u64(kv, key, max);
+    ok = ok && v.has_value();
+    return v.value_or(0);
+  };
+  node::Status s;
+  s.id = static_cast<NodeId>(num("id", ~NodeId{0}));
+  s.noreco = num("noreco", 1) != 0;
+  s.participant = num("part", 1) != 0;
+  s.advised = num("advised", 1) != 0;
+  const auto tag = static_cast<Tag>(num("cfgtag", 2));
+  const auto cfg = kv.find("cfg");
+  if (!ok || cfg == kv.end()) return std::nullopt;
+  if (tag == Tag::kSet) {
+    auto ids = parse_ids(cfg->second);
+    if (!ids) return std::nullopt;
+    s.config = reconf::ConfigValue::set(std::move(*ids));
+  } else if (cfg->second != "-") {
+    return std::nullopt;
+  } else if (tag == Tag::kBottom) {
+    s.config = reconf::ConfigValue::bottom();
+  }
+  // The VS keys come all together (the layer runs) or not at all.
+  if (kv.count("vsmc") + kv.count("vsnull") + kv.count("vsnocrd") +
+          kv.count("vscrd") + kv.count("vsview") == 0) {
+    return s;
+  }
+  s.vs = node::Status::Vs{num("vsmc", 1) != 0, num("vsnull", 1) != 0,
+                          num("vsnocrd", 1) != 0,
+                          static_cast<NodeId>(num("vscrd", ~NodeId{0})),
+                          num("vsview", ~std::uint64_t{0})};
+  if (!ok) return std::nullopt;
+  return s;
 }
 
 std::string hex_encode(const wire::Bytes& b) {

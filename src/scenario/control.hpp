@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "node/status.hpp"
 #include "util/id_set.hpp"
 #include "util/types.hpp"
 #include "wire/wire.hpp"
@@ -45,18 +46,42 @@ std::optional<IdSet> parse_ids(const std::string& s);
 
 /// Splits a reply payload of "k=v" tokens; tokens without '=' are skipped.
 std::map<std::string, std::string> parse_kv(const std::string& payload);
+/// The decimal value of `key`; nullopt when it is missing, not all digits,
+/// or above `max`.
+std::optional<std::uint64_t> parse_u64(
+    const std::map<std::string, std::string>& kv, const std::string& key,
+    std::uint64_t max = ~std::uint64_t{0});
 
 std::string hex_encode(const wire::Bytes& b);
 std::optional<wire::Bytes> hex_decode(const std::string& s);
 
+/// The protocol-state keys of a STATUS reply, one node::Status:
+///   id=<n> noreco=<0|1> part=<0|1> advised=<0|1>
+///   cfgtag=<0 non-participant|1 bottom|2 set> cfg=<ids|->
+/// and, only when the VS layer runs, all five of
+///   vsmc=<0|1> vsnull=<0|1> vsnocrd=<0|1> vscrd=<n>
+///   vsview=<vs::View::digest(), label included>
+std::string format_status(const node::Status& s);
+/// Reads format_status()'s keys out of a parsed reply (other keys are
+/// ignored). nullopt when a key is missing or malformed, or when only some
+/// of the VS keys are present: a failed sample, never zeros.
+std::optional<node::Status> parse_status(
+    const std::map<std::string, std::string>& kv);
+
 /// ssr_node's control-socket command set (shared so the runner and the
 /// daemon cannot drift apart):
-///   STATUS                       node state snapshot as k=v pairs
+///   STATUS                       format_status() of the node, then the
+///                                daemon's transport and workload counters
+///                                (cfgchanges, incq, sent, recv, ...)
 ///   BLOCK <ids|->                install the transport peer filter
 ///   PEER <id> <host> <port>      add/rebind one transport route
 ///   RELOAD                      re-read the peers file now
 ///   INC <n>                      queue n sequential counter increments
-///   OPS                          completed increments: op=<start>:<end>:<hex>
+///   OPS <from>                   acknowledges (and frees) completed
+///                                increments [0, from); replies total=<n>,
+///                                the absolute count completed so far, and
+///                                up to 200 ops from <from> on, each as
+///                                op=<start>:<end>:<hex counter>
 ///   SHMEMW <reg> <salt>          queue one register write
 ///   SHMEMR <reg>                 queue one register read
 ///   FAULT <kind> <n>             one per-node state fault, named by its

@@ -24,16 +24,6 @@
 #include "util/wallclock.hpp"
 
 namespace ssr::scenario {
-namespace {
-
-std::uint64_t parse_u64(const std::map<std::string, std::string>& kv,
-                        const std::string& key) {
-  auto it = kv.find(key);
-  if (it == kv.end()) return 0;
-  return std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-}  // namespace
 
 ProcessRunner::ProcessRunner(ScenarioSpec spec, ProcessBackendOptions opt)
     : ScenarioBackend(std::move(spec), opt.seed), opt_(std::move(opt)) {
@@ -103,25 +93,12 @@ IdSet ProcessRunner::alive_ids() const {
   return out;
 }
 
-std::optional<IdSet> ProcessRunner::common_config() const {
-  std::optional<IdSet> common;
+std::span<const node::Status> ProcessRunner::statuses() const {
+  statuses_.clear();
   for (const auto& [id, p] : procs_) {
-    (void)id;
-    if (!p.alive) continue;
-    if (!p.sampled || !p.noreco || !p.cfg_proper) return std::nullopt;
-    if (!common) {
-      common = p.cfg;
-    } else if (!(p.cfg == *common)) {
-      return std::nullopt;
-    }
+    if (p.alive) statuses_.push_back(p.status);
   }
-  return common;
-}
-
-bool ProcessRunner::participant(NodeId id) const {
-  auto it = procs_.find(id);
-  return it != procs_.end() && it->second.alive && it->second.sampled &&
-         it->second.participant;
+  return statuses_;
 }
 
 ProcessRunner::Proc* ProcessRunner::running(NodeId id) {
@@ -130,29 +107,6 @@ ProcessRunner::Proc* ProcessRunner::running(NodeId id) {
     return nullptr;
   }
   return &it->second;
-}
-
-bool ProcessRunner::vs_stable() const {
-  if (!converged_sampled()) return false;
-  bool any = false;
-  bool first = true;
-  std::uint64_t view = 0;
-  NodeId crd = kNoNode;
-  for (NodeId id : alive_ids()) {
-    const Proc& p = procs_.at(id);
-    if (!p.sampled || !p.has_vs) return false;
-    if (!p.participant) continue;  // joiners sync up after installation
-    if (!p.vs_multicast || p.vs_null || p.vs_no_crd) return false;
-    if (first) {
-      view = p.vs_view_digest;
-      crd = p.vs_crd;
-      first = false;
-    } else if (view != p.vs_view_digest || crd != p.vs_crd) {
-      return false;
-    }
-    any = true;
-  }
-  return any;
 }
 
 // -- Process management ------------------------------------------------------
@@ -222,6 +176,8 @@ void ProcessRunner::spawn(NodeId id, const std::string& peers_path) {
   p.alive = true;
   p.paused = false;
   p.sampled = false;
+  p.status = node::Status{};
+  p.status.id = id;
   p.ops_harvested = 0;
 }
 
@@ -302,35 +258,22 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
   }
   if (reply->rfind("OK", 0) != 0) return false;
   const auto kv = ctl::parse_kv(reply->substr(2));
-  const std::uint64_t changes = parse_u64(kv, "cfgchanges");
-  p.noreco = parse_u64(kv, "noreco") != 0;
-  p.participant = parse_u64(kv, "part") != 0;
-  const auto cfg_it = kv.find("cfg");
-  IdSet cfg;
-  if (cfg_it != kv.end() && cfg_it->second != "-") {
-    if (auto parsed = ctl::parse_ids(cfg_it->second)) cfg = *parsed;
-  }
-  p.cfg = cfg;
-  p.cfg_proper =
-      parse_u64(kv, "cfgtag") ==
-          static_cast<std::uint64_t>(reconf::ConfigValue::Tag::kSet) &&
-      !cfg.empty();
-  p.incq = parse_u64(kv, "incq");
-  p.shmq = parse_u64(kv, "shmq");
-  p.sent = parse_u64(kv, "sent");
-  p.recv = parse_u64(kv, "recv");
-  p.syscalls = parse_u64(kv, "syscalls");
-  p.batched = parse_u64(kv, "batched");
-  p.has_vs = kv.count("vsmc") != 0;
-  if (p.has_vs) {
-    p.vs_multicast = parse_u64(kv, "vsmc") != 0;
-    p.vs_null = parse_u64(kv, "vsnull") != 0;
-    p.vs_no_crd = parse_u64(kv, "vsnocrd") != 0;
-    p.vs_crd = static_cast<NodeId>(parse_u64(kv, "vscrd"));
-    p.vs_view_digest = parse_u64(kv, "vsview");
-  }
+  auto status = ctl::parse_status(kv);
+  if (!status || status->id != id) return false;
+  // Transport and workload counters: a missing one reads 0.
+  const auto counter = [&kv](const char* key) {
+    return ctl::parse_u64(kv, key).value_or(0);
+  };
+  const std::uint64_t changes = counter("cfgchanges");
+  p.incq = counter("incq");
+  p.shmq = counter("shmq");
+  p.sent = counter("sent");
+  p.recv = counter("recv");
+  p.syscalls = counter("syscalls");
+  p.batched = counter("batched");
 
-  const std::uint64_t new_digest = digest_ids(p.cfg);
+  const reconf::ConfigValue& cfg = status->config;
+  const std::uint64_t digest = digest_ids(cfg.is_set() ? cfg.ids() : IdSet{});
   if (p.sampled && changes > p.cfgchanges) {
     // The daemon reconfigured since the last sample. The count is exact
     // (the daemon counts every change handler fire); the *values* are
@@ -338,18 +281,15 @@ bool ProcessRunner::sample_node(NodeId id, Proc& p) {
     // believed configuration at the sample instant.
     const std::uint64_t delta = changes - p.cfgchanges;
     for (std::uint64_t i = 0; i < delta; ++i) {
-      registry_->config_history().record(
-          now(), id,
-          p.cfg_proper ? reconf::ConfigValue::set(p.cfg)
-                       : reconf::ConfigValue::bottom());
+      registry_->config_history().record(now(), id, cfg);
     }
-    trace_.record(TraceKind::kConfigChange, id, new_digest, delta);
-  } else if (!p.sampled || new_digest != p.cfg_digest) {
-    trace_.record(TraceKind::kNodeSample, id, new_digest,
-                  (p.noreco ? 2u : 0u) | (p.participant ? 1u : 0u));
+    trace_.record(TraceKind::kConfigChange, id, digest, delta);
+  } else if (!p.sampled || !(cfg == p.status.config)) {
+    trace_.record(TraceKind::kNodeSample, id, digest,
+                  (status->noreco ? 2u : 0u) | (status->participant ? 1u : 0u));
   }
   p.cfgchanges = changes;
-  p.cfg_digest = new_digest;
+  p.status = std::move(*status);
   p.sampled = true;
   return true;
 }
@@ -585,49 +525,41 @@ bool ProcessRunner::resume_node(NodeId id) {
   return true;
 }
 
-void ProcessRunner::increment_burst(const Action& a) {
-  IdSet queued;
-  for (NodeId id : targets_or_alive(a)) {
-    if (!running(id)) continue;
-    control_or_fail(id, "INC " + std::to_string(a.n));
-    if (failed_) return;
-    queued.insert(id);
-  }
-  // Generous drain budget: increments are quorum operations that legally
-  // abort and retry through reconfigurations. Remaining queue depth at the
-  // deadline is not a scenario failure — exactly like the simulator's
-  // bounded-attempt bursts — it only means fewer ops feed the order check.
-  await(120 * kSec * (a.n == 0 ? 1 : a.n), [&] {
-    for (NodeId id : queued) {
-      const Proc& p = procs_.at(id);
-      if (p.alive && !p.paused && (!p.sampled || p.incq != 0)) return false;
-    }
-    return true;
-  });
-  harvest_ops();
-}
-
-void ProcessRunner::shmem_ops(const Action& a, bool write) {
-  std::string cmd;
-  if (write) {
-    cmd = "SHMEMW " + a.reg + " " + std::to_string(a.n);
-  } else {
-    cmd = "SHMEMR " + a.reg;
-  }
+IdSet ProcessRunner::queue_ops(const Action& a, const std::string& cmd,
+                               std::uint64_t Proc::*queue, SimTime budget) {
   IdSet queued;
   for (NodeId id : targets_or_alive(a)) {
     if (!running(id)) continue;
     control_or_fail(id, cmd);
-    if (failed_) return;
+    if (failed_) return queued;
     queued.insert(id);
   }
-  await(160 * kSec, [&] {
+  // Remaining queue depth at the deadline is not a scenario failure —
+  // exactly like the simulator's bounded-attempt bursts — it only means
+  // fewer completed ops.
+  await(budget, [&] {
     for (NodeId id : queued) {
       const Proc& p = procs_.at(id);
-      if (p.alive && !p.paused && (!p.sampled || p.shmq != 0)) return false;
+      if (p.alive && !p.paused && (!p.sampled || p.*queue != 0)) return false;
     }
     return true;
   });
+  return queued;
+}
+
+void ProcessRunner::increment_burst(const Action& a) {
+  // Generous drain budget: increments are quorum operations that legally
+  // abort and retry through reconfigurations.
+  queue_ops(a, "INC " + std::to_string(a.n), &Proc::incq,
+            120 * kSec * (a.n == 0 ? 1 : a.n));
+  if (!failed_) harvest_ops();
+}
+
+void ProcessRunner::shmem_ops(const Action& a, bool write) {
+  const std::string cmd = write ? "SHMEMW " + a.reg + " " + std::to_string(a.n)
+                                : "SHMEMR " + a.reg;
+  const IdSet queued = queue_ops(a, cmd, &Proc::shmq, 160 * kSec);
+  if (failed_) return;
   for (NodeId id : queued) {
     const Proc& p = procs_.at(id);
     trace_.record(TraceKind::kShmemOpDone, id,

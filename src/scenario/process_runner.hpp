@@ -94,13 +94,9 @@ class ProcessRunner final : public ScenarioBackend {
     std::uint16_t ctl_port = 0;
     bool alive = false;
     bool paused = false;
-    // Last STATUS sample (valid once sampled = true).
+    // Last STATUS sample (a default Status until sampled = true).
     bool sampled = false;
-    bool noreco = false;
-    bool participant = false;
-    bool cfg_proper = false;
-    IdSet cfg;
-    std::uint64_t cfg_digest = 0;
+    node::Status status;
     std::uint64_t cfgchanges = 0;
     std::uint64_t incq = 0;
     std::uint64_t shmq = 0;
@@ -108,15 +104,8 @@ class ProcessRunner final : public ScenarioBackend {
     std::uint64_t recv = 0;
     std::uint64_t syscalls = 0;  // sendmmsg+recvmmsg calls (STATUS syscalls=)
     std::uint64_t batched = 0;   // datagrams sharing a send syscall
-    // VS layer sample (valid when has_vs).
-    bool has_vs = false;
-    bool vs_multicast = false;
-    bool vs_null = true;
-    bool vs_no_crd = true;
-    NodeId vs_crd = kNoNode;
-    std::uint64_t vs_view_digest = 0;
     /// How many of the daemon's completed ops were already fed to the
-    /// counter-order monitor (the OPS reply is append-only).
+    /// counter-order monitor: the cursor each OPS request acknowledges.
     std::size_t ops_harvested = 0;
   };
 
@@ -140,6 +129,11 @@ class ProcessRunner final : public ScenarioBackend {
   /// The node's process when it is alive and not stopped, else null.
   Proc* running(NodeId id);
 
+  /// Sends `cmd` to every running target of `a`, then awaits (up to the
+  /// scaled `budget`) each one's `queue` counter draining to 0. Returns
+  /// the targets that took the command.
+  IdSet queue_ops(const Action& a, const std::string& cmd,
+                  std::uint64_t Proc::*queue, SimTime budget);
   void step_sleep() const;
   void send_blocked_sets(const IdSet& touched);
   void control_or_fail(NodeId id, const std::string& cmd);
@@ -162,10 +156,7 @@ class ProcessRunner final : public ScenarioBackend {
   /// Process-level quiescence is an OS triviality (the processes are
   /// gone); the event-level drain check is a simulator property.
   bool drained(SimTime) override { return true; }
-  /// Over the latest samples (no new sampling).
-  std::optional<IdSet> common_config() const override;
-  bool participant(NodeId id) const override;
-  bool vs_stable() const override;
+  std::span<const node::Status> statuses() const override;
   void settle(ScenarioResult& r) override;
 
   ProcessBackendOptions opt_;
@@ -174,6 +165,8 @@ class ProcessRunner final : public ScenarioBackend {
   std::uint64_t epoch_usec_ = 0;
   ctl::ControlClient client_;
   std::map<NodeId, Proc> procs_;
+  /// statuses()'s buffer, refilled per call.
+  mutable std::vector<node::Status> statuses_;
   /// Runner-side view of each node's peer filter (BLOCK replaces the whole
   /// set, so partitions accumulate here and ship as full sets).
   std::map<NodeId, IdSet> blocked_;

@@ -58,10 +58,6 @@ void ScenarioRunner::plant_config(NodeId id, const IdSet& ids) {
   harness::FaultInjector::plant_config(world_->node(id), ids);
 }
 
-bool ScenarioRunner::participant(NodeId id) const {
-  return world_->has_node(id) && world_->node(id).recsa().is_participant();
-}
-
 bool ScenarioRunner::accepts_ops(NodeId id) const {
   return world_->has_node(id) && !world_->node(id).crashed() &&
          !paused_.contains(id);

@@ -53,11 +53,9 @@ class ScenarioRunner final : public ScenarioBackend {
     return poll(d, pred);
   }
   bool drained(SimTime d) override;
-  std::optional<IdSet> common_config() const override {
-    return world_->common_config();
+  std::span<const node::Status> statuses() const override {
+    return world_->statuses();
   }
-  bool participant(NodeId id) const override;
-  bool vs_stable() const override { return world_->vs_stable(); }
   void settle(ScenarioResult& r) override;
 
   /// Alive and not paused: a stopped process takes no commands.
@@ -66,12 +64,7 @@ class ScenarioRunner final : public ScenarioBackend {
   /// Runs until `pred` holds, polling every `step`; true iff met in time.
   template <class Pred>
   bool poll(SimTime timeout, Pred pred, SimTime step = 20 * kMsec) {
-    const SimTime deadline = world_->scheduler().now() + timeout;
-    while (world_->scheduler().now() < deadline) {
-      if (pred()) return true;
-      world_->run_for(step);
-    }
-    return pred();
+    return world_->run_until(pred, timeout, step).has_value();
   }
 
   void harvest_increments();

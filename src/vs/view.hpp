@@ -33,6 +33,11 @@ struct View {
   void encode(wire::Writer& w) const;
   static std::optional<View> decode(wire::Reader& r);
 
+  /// 64-bit FNV-1a over every field operator== compares (the counter's
+  /// label with its antistings, seqn, writer, and the member set), so two
+  /// views that differ only in their label digest differently.
+  std::uint64_t digest() const;
+
   std::string to_string() const;
 };
 

@@ -60,6 +60,104 @@ TEST(ConfigHistoryMonitorTest, CountsEventsSince) {
   EXPECT_EQ(m.events_since(now), 0u);  // quiet afterwards
 }
 
+TEST(VirtualSynchronyMonitorTest, ComparesBatchesPerViewAndRound) {
+  VirtualSynchronyMonitor m;
+  vs::View v;
+  v.id = mk_counter(1, 5, 1);
+  v.set = IdSet{1, 2, 3};
+  vs::View relabeled = v;
+  relabeled.id.lbl.antistings = {7};  // same seqn and writer, new label
+  const std::vector<std::pair<NodeId, wire::Bytes>> a = {{1, {0xA}}};
+  const std::vector<std::pair<NodeId, wire::Bytes>> b = {{1, {0xB}}};
+
+  m.record(v, 1, a);
+  m.record(v, 1, a);           // the same batch again: agreement
+  m.record(v, 1, b);           // a different batch at (v, 1): mismatch
+  m.record(v, 1, a);           // judged against the first batch: fine
+  m.record(v, 2, b);           // a new round
+  m.record(relabeled, 1, b);   // a different view id, not round (v, 1)
+  EXPECT_EQ(m.deliveries(), 6u);
+  EXPECT_EQ(m.mismatches(), 1u);
+  EXPECT_EQ(m.rounds_observed(), 3u);
+}
+
+// The legality predicates both fleets evaluate (node::agreed_config and
+// node::vs_stable), over hand-built statuses. Rows marked * failed under
+// the process fleet's earlier private copies, which had no `advised` term
+// and a view digest without the label.
+TEST(LegalityPredicates, Table) {
+  vs::View view;
+  view.id = mk_counter(1, 4, 1);
+  view.set = IdSet{1, 2, 3};
+  vs::View relabeled = view;
+  relabeled.id.lbl.sting = 2;
+  ASSERT_NE(view.digest(), relabeled.digest());
+
+  // A converged, VS-stable participant believing {1,2,3}.
+  const auto stable = [&](NodeId id) {
+    node::Status s;
+    s.id = id;
+    s.noreco = true;
+    s.participant = true;
+    s.config = reconf::ConfigValue::set({1, 2, 3});
+    s.vs = node::Status::Vs{true, false, false, 1, view.digest()};
+    return s;
+  };
+  const std::vector<node::Status> fleet = {stable(1), stable(2), stable(3)};
+  auto with = [&](std::size_t i, auto change) {
+    std::vector<node::Status> out = fleet;
+    change(out[i]);
+    return out;
+  };
+  auto unsampled = fleet;
+  unsampled.push_back(node::Status{});
+  unsampled.back().id = 4;
+
+  struct Row {
+    const char* name;
+    std::vector<node::Status> fleet;
+    bool converged;
+    bool vs_stable;
+  };
+  const Row rows[] = {
+      {"all agree", fleet, true, true},
+      {"* advised", with(1, [](node::Status& s) { s.advised = true; }),
+       false, false},
+      {"* views differ only in label",
+       with(2, [&](node::Status& s) { s.vs->view = relabeled.digest(); }),
+       true, false},
+      {"unsampled alive node", unsampled, false, false},
+      {"non-participant skipped for VS",
+       with(2,
+            [](node::Status& s) {
+              s.participant = false;
+              s.vs = node::Status::Vs{};
+            }),
+       true, true},
+      {"non-participant without VS layer",
+       with(2, [](node::Status& s) { s.vs.reset(); }), true, false},
+      {"no alive node", {}, false, false},
+      {"reconfiguring", with(0, [](node::Status& s) { s.noreco = false; }),
+       false, false},
+      {"configs differ",
+       with(0,
+            [](node::Status& s) {
+              s.config = reconf::ConfigValue::set({1, 2});
+            }),
+       false, false},
+      {"coordinators differ",
+       with(0, [](node::Status& s) { s.vs->coordinator = 2; }), true, false},
+      {"proposing", with(0, [](node::Status& s) { s.vs->multicast = false; }),
+       true, false},
+  };
+  for (const Row& r : rows) {
+    EXPECT_EQ(node::agreed_config(r.fleet).has_value(), r.converged)
+        << r.name;
+    EXPECT_EQ(node::vs_stable(r.fleet), r.vs_stable) << r.name;
+  }
+  EXPECT_EQ(node::agreed_config(fleet), (IdSet{1, 2, 3}));
+}
+
 TEST(WorldTest, AliveTracksCrashes) {
   WorldConfig cfg;
   cfg.seed = 73;

@@ -23,8 +23,8 @@ std::string ids_text(const IdSet& ids) {
 }
 
 /// A fleet with no nodes behind it: every primitive appends one line to
-/// `log`, so a test reads the interpreter's calls in order. Predicates
-/// report a converged fleet whose configuration is `config`.
+/// `log`, so a test reads the interpreter's calls in order. Every alive
+/// node reports a VS-stable participant status believing `config`.
 class RecordingFleet final : public ScenarioBackend {
  public:
   explicit RecordingFleet(ScenarioSpec spec)
@@ -93,13 +93,24 @@ class RecordingFleet final : public ScenarioBackend {
     return pred();
   }
   bool drained(SimTime) override { return true; }
-  std::optional<IdSet> common_config() const override { return config; }
-  bool participant(NodeId) const override { return true; }
-  bool vs_stable() const override { return true; }
+  std::span<const node::Status> statuses() const override {
+    statuses_.clear();
+    for (NodeId id : alive_) {
+      node::Status s;
+      s.id = id;
+      s.noreco = true;
+      s.participant = true;
+      s.config = reconf::ConfigValue::set(config);
+      s.vs = node::Status::Vs{true, false, false, 1, 1};
+      statuses_.push_back(s);
+    }
+    return statuses_;
+  }
   void settle(ScenarioResult&) override {}
 
   NodeId next_id_ = 1;
   IdSet alive_;
+  mutable std::vector<node::Status> statuses_;
 };
 
 ScenarioSpec spec_of(std::size_t nodes) {

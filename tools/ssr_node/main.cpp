@@ -15,7 +15,8 @@
 // markers to stdout:
 //
 //   SSR_NODE_START id=1 port=921 control=922  ports (also in --port-file)
-//   CONVERGED t=2.1s config={1,2,3}           noReco + common proper config
+//   CONVERGED t=2.1s config={1,2,3}           node::agreed_config over the
+//                                             node's own status is the map
 //   INCREMENT_OK seqn=4                       one counter increment done
 //   SSR_NODE_DONE                             all goals met (stays up)
 //
@@ -39,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -52,12 +54,12 @@
 #include "scenario/control.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec_io.hpp"
-#include "scenario/trace.hpp"
 #include "util/wallclock.hpp"
 
 namespace {
 
 using namespace ssr;
+namespace ctl = scenario::ctl;
 
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
@@ -89,19 +91,6 @@ int usage() {
                "                [--seed R] [--aggressive] [--adopt-joiners]\n"
                "                [--port-file FILE] [--batch N=16]\n");
   return 2;
-}
-
-std::string format_ids(const IdSet& ids) {
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
-  for (NodeId id : ids) {
-    if (!first) os << ',';
-    os << id;
-    first = false;
-  }
-  os << '}';
-  return os.str();
 }
 
 /// One parse of the peers file; nullopt when unreadable. Lines that do not
@@ -169,9 +158,9 @@ class Daemon {
     IdSet seed_peers = all_ids_;
     seed_peers.erase(opt_.id);
     node_->start(seed_peers);
-    std::printf("SSR_NODE_START id=%u shard=%u port=%u control=%u peers=%s\n",
+    std::printf("SSR_NODE_START id=%u shard=%u port=%u control=%u peers={%s}\n",
                 opt_.id, opt_.shard, transport_.local_port(), control_.port(),
-                format_ids(seed_peers).c_str());
+                ctl::format_ids(seed_peers).c_str());
     std::fflush(stdout);
     if (!opt_.port_file.empty()) {
       // Written atomically (rename) so a half-written file is never read.
@@ -189,7 +178,7 @@ class Daemon {
 
     while (!g_stop && transport_.now() < deadline) {
       transport_.run_for(20 * kMsec);
-      control_.poll([this](const scenario::ctl::Request& req) {
+      control_.poll([this](const ctl::Request& req) {
         return handle_control(req);
       });
       if (!unresolved_.empty() && transport_.now() >= next_peer_poll) {
@@ -199,13 +188,12 @@ class Daemon {
       drive_workload();
 
       const double t = static_cast<double>(transport_.now()) / kSec;
-      const reconf::ConfigValue cfg = node_->recsa().get_config();
-      if (!converged_ && node_->recsa().no_reco() && cfg.is_proper() &&
-          cfg.ids() == all_ids_) {
+      const node::Status status = node_->status();
+      if (!converged_ && node::agreed_config({&status, 1}) == all_ids_) {
         converged_ = true;
         pending_increments_ += opt_.increments;
-        std::printf("CONVERGED t=%.1fs config=%s\n", t,
-                    format_ids(cfg.ids()).c_str());
+        std::printf("CONVERGED t=%.1fs config={%s}\n", t,
+                    ctl::format_ids(all_ids_).c_str());
         std::fflush(stdout);
       }
       if (converged_ && increments_done_ >= opt_.increments &&
@@ -216,12 +204,11 @@ class Daemon {
       }
       if (transport_.now() >= next_status) {
         next_status += 5 * kSec;
-        std::printf(
-            "STATUS t=%.1fs trusted=%zu config=%s sent=%llu recv=%llu\n", t,
-            node_->failure_detector().trusted().size(),
-            format_ids(cfg.ids()).c_str(),
-            static_cast<unsigned long long>(transport_.stats().sent),
-            static_cast<unsigned long long>(transport_.stats().received));
+        std::printf("STATUS t=%.1fs %s sent=%llu recv=%llu\n", t,
+                    ctl::format_status(status).c_str(),
+                    static_cast<unsigned long long>(transport_.stats().sent),
+                    static_cast<unsigned long long>(
+                        transport_.stats().received));
         std::fflush(stdout);
       }
     }
@@ -324,19 +311,14 @@ class Daemon {
     }
   }
 
-  std::string handle_control(const scenario::ctl::Request& req) {
-    namespace ctl = scenario::ctl;
+  std::string handle_control(const ctl::Request& req) {
     const auto& a = req.args;
     if (req.cmd == "STATUS") {
-      const reconf::ConfigValue cfg = node_->recsa().get_config();
       std::ostringstream os;
-      os << "OK id=" << opt_.id << " shard=" << transport_.config().shard
+      os << "OK " << ctl::format_status(node_->status())
+         << " shard=" << transport_.config().shard
          << " t=" << transport_.now()
          << " abs=" << steady_usec()
-         << " noreco=" << (node_->recsa().no_reco() ? 1 : 0)
-         << " part=" << (node_->recsa().is_participant() ? 1 : 0)
-         << " cfgtag=" << static_cast<int>(cfg.tag())
-         << " cfg=" << (cfg.is_set() ? ctl::format_ids(cfg.ids()) : "-")
          << " cfgchanges=" << config_changes_
          << " trusted=" << ctl::format_ids(node_->failure_detector().trusted())
          << " incq=" << pending_increments_
@@ -357,17 +339,6 @@ class Daemon {
          << " sendfail=" << transport_.stats().send_failures
          << " partial=" << transport_.stats().send_partial
          << " recverr=" << transport_.stats().recv_errors;
-      if (auto* v = node_->vs()) {
-        const vs::View& view = v->view();
-        std::uint64_t vd = scenario::TraceRecorder::kFnvBasis;
-        vd = scenario::TraceRecorder::mix(vd, view.id.seqn);
-        vd = scenario::TraceRecorder::mix(vd, view.id.wid);
-        for (NodeId m : view.set) vd = scenario::TraceRecorder::mix(vd, m);
-        os << " vsmc=" << (v->status() == vs::Status::kMulticast ? 1 : 0)
-           << " vsnull=" << (view.is_null() ? 1 : 0)
-           << " vsnocrd=" << (v->no_coordinator() ? 1 : 0)
-           << " vscrd=" << v->coordinator() << " vsview=" << vd;
-      }
       return os.str();
     }
     if (req.cmd == "BLOCK" && a.size() == 1) {
@@ -404,14 +375,22 @@ class Daemon {
       // Paged: "OPS <from>" replies ops [from, from+page) plus the total,
       // so the reply datagram stays bounded no matter how many operations
       // completed (the runner iterates until its cursor reaches total).
+      // The runner has recorded every op below its cursor, so `from` also
+      // acknowledges [0, from) and those are freed: the log holds only
+      // what the runner has not seen, and a reply never returns a freed op
+      // (a retried request is answered from the control server's reply
+      // cache). `total` stays absolute.
       constexpr std::size_t kOpsPerReply = 200;
       std::size_t from = 0;
       if (!a.empty()) from = std::strtoull(a[0].c_str(), nullptr, 10);
+      const std::size_t total = ops_freed_ + done_ops_.size();
+      for (; ops_freed_ < std::min(from, total); ++ops_freed_) {
+        done_ops_.pop_front();
+      }
       std::ostringstream os;
-      os << "OK total=" << done_ops_.size();
-      const std::size_t end =
-          std::min(done_ops_.size(), from + kOpsPerReply);
-      for (std::size_t i = from; i < end; ++i) {
+      os << "OK total=" << total;
+      const std::size_t end = std::min(done_ops_.size(), kOpsPerReply);
+      for (std::size_t i = 0; i < end; ++i) {
         const DoneOp& op = done_ops_[i];
         wire::Writer w;
         op.value.encode(w);
@@ -455,7 +434,7 @@ class Daemon {
   net::UdpTransport transport_;
   Rng rng_;
   Rng corrupt_rng_;
-  scenario::ctl::ControlServer control_;
+  ctl::ControlServer control_;
   std::unique_ptr<node::Node> node_;
   IdSet unresolved_;
 
@@ -467,7 +446,10 @@ class Daemon {
   bool increment_in_flight_ = false;
   std::uint64_t increments_done_ = 0;
   std::uint64_t increments_aborted_ = 0;
-  std::vector<DoneOp> done_ops_;
+  /// Completed increments not yet acknowledged by an OPS request, oldest
+  /// first; done_ops_[i] is op number ops_freed_ + i.
+  std::deque<DoneOp> done_ops_;
+  std::size_t ops_freed_ = 0;
 
   std::vector<std::tuple<bool, std::string, std::uint64_t>> shmem_queue_;
   bool shmem_in_flight_ = false;
